@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, data, engine, evalx, selfcheck, train
 from .checkpoint import CheckpointError, read_checkpoint
-from .models import generator_forward, init_params
+from .models import generator_forward, params_from_arrays
 
 
 def _parse_size(text):
@@ -142,14 +142,14 @@ def load_generator(ckpt_path, direction):
     arrays, meta = read_checkpoint(ckpt_path)
     net_key, accepted, out_modality = _DIRECTIONS[direction]
     width = int(meta.get("config", {}).get("width_f", 64))
-    group = init_params("generator", width, rng_seed=0)
+    prefix = f"{net_key}/"
+    net = {k[len(prefix):]: a for k, a in arrays.items() if k.startswith(prefix)}
     try:
-        state = {p: arrays[f"{net_key}/{p}"] for p in group.names()}
+        group = params_from_arrays("generator", width, net)
     except KeyError:
         raise ValueError(
             f"checkpoint {ckpt_path} has no {net_key} network "
             f"(mode {meta.get('config', {}).get('mode')!r})")
-    group.load_state_arrays(state)
     return group, accepted, out_modality
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -102,13 +103,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def detach(self):
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.grad = None
-        out._parents = ()
-        out._backward = None
-        return out
+        return Tensor._result(self.data, (), None)
 
     def zero_grad(self):
         self.grad = None
@@ -328,29 +323,47 @@ def _unpad2d_adjoint(g, pad, mode, out_h, out_w):
         return g
     if mode == "zeros":
         return g[:, :, pad:pad + out_h, pad:pad + out_w].copy()
-    # reflect: padded row p-k mirrors source row k, padded row p+H-1+k mirrors H-1-k
-    core = g[:, :, pad:pad + out_h, :].copy()
-    for k in range(1, pad + 1):
-        core[:, :, k, :] += g[:, :, pad - k, :]
-        core[:, :, out_h - 1 - k, :] += g[:, :, pad + out_h - 1 + k, :]
-    out = core[:, :, :, pad:pad + out_w].copy()
-    for k in range(1, pad + 1):
-        out[:, :, :, k] += core[:, :, :, pad - k]
-        out[:, :, :, out_w - 1 - k] += core[:, :, :, pad + out_w - 1 + k]
-    return out
+    # reflect, per axis: padded index p-k mirrors source k, p+n-1+k mirrors n-1-k
+    for axis, n in ((2, out_h), (3, out_w)):
+        g = np.moveaxis(g, axis, 0)
+        core = g[pad:pad + n].copy()
+        core[1:pad + 1] += g[pad - 1::-1]
+        core[n - 1 - pad:n - 1] += g[pad + n:2 * pad + n][::-1]
+        g = np.moveaxis(core, 0, axis)
+    return g
 
 
-# -- convolution --------------------------------------------------------------
+# -- convolution: both ops run on one im2col layout and plain GEMMs -----------
 
 
-def _gather_cols(xp, k, stride, ho, wo):
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, k, k, ho, wo), dtype=xp.dtype)
+def _im2col(xp, k, stride):
+    """[N,C,H,W] -> contiguous [C*k*k, N*Ho*Wo] columns: row (c,i,j), column (n,y,x)."""
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(xp.shape[1] * k * k, -1)
+
+
+def _col2im(cols, shape, k, stride, ho, wo):
+    """Adjoint of _im2col: scatter-add columns into a zero [N,C,H,W] array."""
+    n, c, h, wd = shape
+    cols = cols.reshape(c, k, k, n, ho, wo)
+    out = np.zeros((c, n, h, wd), dtype=cols.dtype)
     for i in range(k):
         for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * (ho - 1) + 1:stride,
-                                  j:j + stride * (wo - 1) + 1:stride]
-    return cols
+            out[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols[:, i, j]
+    return out.transpose(1, 0, 2, 3)
+
+
+def _conv_input_grad(g, w, stride, ext_h, ext_w):
+    """Gradient w.r.t. conv2d's padded input: a col2im scatter (Cin*k*k column rows) or,
+    at stride 1 with Cout < Cin, a full correlation with the flipped kernel (Cout*k*k)."""
+    n, cout, ho, wo = g.shape
+    cin, k = w.shape[1], w.shape[2]
+    if stride == 1 and cout < cin:
+        gp = np.pad(g, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
+        wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+        return (wf @ _im2col(gp, k, 1)).reshape(cin, n, ext_h, ext_w).transpose(1, 0, 2, 3)
+    gcols = w.reshape(cout, -1).T @ g.transpose(1, 0, 2, 3).reshape(cout, -1)
+    return _col2im(gcols, (n, cin, ext_h, ext_w), k, stride, ho, wo)
 
 
 def conv2d(x, w, b, stride=1, pad=0, pad_mode="zeros"):
@@ -373,25 +386,19 @@ def conv2d(x, w, b, stride=1, pad=0, pad_mode="zeros"):
             f"conv2d geometry invalid: input {h}x{wd}, k={k}, stride={stride}, "
             f"pad={pad} gives output {ho}x{wo}")
 
-    xp = _pad2d(x.data, pad, pad_mode)
-    cols = _gather_cols(xp, k, stride, ho, wo)
-    out = np.tensordot(w.data, cols, axes=([1, 2, 3], [1, 2, 3]))  # [Cout,N,Ho,Wo]
+    cols = _im2col(_pad2d(x.data, pad, pad_mode), k, stride)
+    out = (w.data.reshape(cout, -1) @ cols).reshape(cout, n, ho, wo)
     out = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
     out += b.data.reshape(1, cout, 1, 1)
 
     def bwd(g):
         if w.requires_grad:
-            w._accumulate(np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5])))
+            g2 = g.transpose(1, 0, 2, 3).reshape(cout, -1)
+            w._accumulate((g2 @ cols.T).reshape(w.data.shape))
         if b.requires_grad:
             b._accumulate(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            gcols = np.tensordot(w.data, g, axes=([0], [1]))  # [Cin,k,k,N,Ho,Wo]
-            gxp = np.zeros((cin, n) + xp.shape[2:], dtype=g.dtype)
-            for i in range(k):
-                for j in range(k):
-                    gxp[:, :, i:i + stride * (ho - 1) + 1:stride,
-                        j:j + stride * (wo - 1) + 1:stride] += gcols[:, i, j]
-            gxp = gxp.transpose(1, 0, 2, 3)
+            gxp = _conv_input_grad(g, w.data, stride, h + 2 * pad, wd + 2 * pad)
             x._accumulate(_unpad2d_adjoint(gxp, pad, pad_mode, h, wd))
 
     return Tensor._result(out, (x, w, b), bwd)
@@ -402,7 +409,7 @@ def conv_transpose2d(x, w, b, stride=1, pad=0, output_pad=0):
 
     Output spatial size is (H-1)*stride - 2*pad + k + output_pad. With the
     same weight array and zero bias this is the exact adjoint of conv2d at
-    matching stride/pad, which the gradient of both ops relies on.
+    matching stride/pad; its forward is conv2d's input gradient.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv_transpose2d expects 4-d input/weight, got {x.data.shape} / {w.data.shape}")
@@ -423,31 +430,21 @@ def conv_transpose2d(x, w, b, stride=1, pad=0, output_pad=0):
     ext_h = max((h - 1) * stride + k, pad + ho)
     ext_w = max((wd - 1) * stride + k, pad + wo)
 
-    cols = np.tensordot(w.data, x.data, axes=([0], [1]))  # [Cout,k,k,N,H,W]
-    buf = np.zeros((cout, n, ext_h, ext_w), dtype=x.data.dtype)
-    for i in range(k):
-        for j in range(k):
-            buf[:, :, i:i + stride * (h - 1) + 1:stride,
-                j:j + stride * (wd - 1) + 1:stride] += cols[:, i, j]
-    out = np.ascontiguousarray(buf[:, :, pad:pad + ho, pad:pad + wo].transpose(1, 0, 2, 3))
+    full = _conv_input_grad(x.data, w.data, stride, ext_h, ext_w)
+    out = np.ascontiguousarray(full[:, :, pad:pad + ho, pad:pad + wo])
     out += b.data.reshape(1, cout, 1, 1)
 
     def bwd(g):
-        gfull = np.zeros((n, cout, ext_h, ext_w), dtype=g.dtype)
-        gfull[:, :, pad:pad + ho, pad:pad + wo] = g
-        garr = np.empty((k, k, n, cout, h, wd), dtype=g.dtype)
-        for i in range(k):
-            for j in range(k):
-                garr[i, j] = gfull[:, :, i:i + stride * (h - 1) + 1:stride,
-                                   j:j + stride * (wd - 1) + 1:stride]
+        gfull = np.pad(g, ((0, 0), (0, 0), (pad, ext_h - pad - ho), (pad, ext_w - pad - wo)))
+        cols = _im2col(gfull, k, stride)  # [Cout*k*k, N*H*W]
         if b.requires_grad:
             b._accumulate(g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
-            gw = np.tensordot(x.data, garr, axes=([0, 2, 3], [2, 4, 5]))  # [Cin,k,k,Cout]
-            w._accumulate(np.ascontiguousarray(gw.transpose(0, 3, 1, 2)))
+            x2 = x.data.transpose(1, 0, 2, 3).reshape(cin, -1)
+            w._accumulate((x2 @ cols.T).reshape(w.data.shape))
         if x.requires_grad:
-            gx = np.tensordot(w.data, garr, axes=([1, 2, 3], [3, 0, 1]))  # [Cin,N,H,W]
-            x._accumulate(np.ascontiguousarray(gx.transpose(1, 0, 2, 3)))
+            gx = (w.data.reshape(cin, -1) @ cols).reshape(cin, n, h, wd)
+            x._accumulate(gx.transpose(1, 0, 2, 3))
 
     return Tensor._result(out, (x, w, b), bwd)
 

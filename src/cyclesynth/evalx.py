@@ -161,6 +161,14 @@ def _fmt(x, width=10):
     return f"{x:{width}.1f}" if x is not None else " " * (width - 3) + "---"
 
 
+def _mean_sd(agg, metric, width):
+    """'mean +/- SD' of one aggregate; an undefined figure (no finite PSNR,
+    fewer than two rows) reads n/a."""
+    mean, sd = agg[f"mean_{metric}"], agg[f"sd_{metric}"]
+    mean = f"{mean:{width}.1f}" if mean is not None else f"{'n/a':>{width}}"
+    return f"{mean} +/- " + (f"{sd:.1f}" if sd is not None else "n/a")
+
+
 def render_table(report_a, report_b=None, label_a="Run A", label_b="Run B"):
     """Fixed-width text table: per-volume MAE/PSNR rows plus the mean +/- SD line."""
     lines = []
@@ -169,11 +177,7 @@ def render_table(report_a, report_b=None, label_a="Run A", label_b="Run B"):
         for r in report_a.rows:
             lines.append(f"{r.id:12s}{_fmt(r.mae_hu)}{_fmt(r.psnr_db)}")
         agg = report_a.aggregate
-        lines.append(f"{'Mean +/- SD':12s}"
-                     f"{_fmt(agg['mean_mae'])} +/- {agg['sd_mae']:.1f}"
-                     f"{_fmt(agg['mean_psnr'])} +/- {agg['sd_psnr']:.1f}"
-                     if agg["sd_mae"] is not None else
-                     f"{'Mean':12s}{_fmt(agg['mean_mae'])}{_fmt(agg['mean_psnr'])}")
+        lines.append(f"{'Mean +/- SD':12s}{_mean_sd(agg, 'mae', 10)}{_mean_sd(agg, 'psnr', 10)}")
         return "\n".join(lines)
 
     lines.append(f"{'':12s}{'MAE':>21s}{'PSNR':>21s}")
@@ -181,11 +185,7 @@ def render_table(report_a, report_b=None, label_a="Run A", label_b="Run B"):
     for ra, rb in zip(report_a.rows, report_b.rows):
         lines.append(f"{ra.id:12s}{_fmt(ra.mae_hu)}{_fmt(rb.mae_hu, 11)}"
                      f"{_fmt(ra.psnr_db)}{_fmt(rb.psnr_db, 11)}")
-    aa, ab = report_a.aggregate, report_b.aggregate
-    lines.append(
-        f"{'Mean +/- SD':12s}"
-        f"{aa['mean_mae']:6.1f} +/- {aa['sd_mae']:.1f}"
-        f" {ab['mean_mae']:6.1f} +/- {ab['sd_mae']:.1f}"
-        f" {aa['mean_psnr']:6.1f} +/- {aa['sd_psnr']:.1f}"
-        f" {ab['mean_psnr']:6.1f} +/- {ab['sd_psnr']:.1f}")
+    aggs = (report_a.aggregate, report_b.aggregate)
+    lines.append(f"{'Mean +/- SD':12s}" + " ".join(
+        _mean_sd(agg, metric, 6) for metric in ("mae", "psnr") for agg in aggs))
     return "\n".join(lines)

@@ -72,29 +72,37 @@ class ParamGroup:
             t.data = np.asarray(src, dtype=t.data.dtype)
 
 
-class GeneratorParams(ParamGroup):
-    def __init__(self, width=64):
-        super().__init__("generator", width)
+def param_shapes(kind, width=64):
+    """Ordered name -> shape of every parameter of a network (the checkpoint layout)."""
+    shapes = {}
 
+    def conv(name, cin, cout, k, norm=True, transposed=False):
+        shapes[f"{name}.w"] = (cin, cout, k, k) if transposed else (cout, cin, k, k)
+        shapes[f"{name}.b"] = (cout,)
+        if norm:
+            shapes[f"{name}.gamma"] = shapes[f"{name}.beta"] = (cout,)
 
-class DiscriminatorParams(ParamGroup):
-    def __init__(self, width=64):
-        super().__init__("discriminator", width)
-
-
-def _add_conv(p, rng, name, cin, cout, k, norm=True):
-    p.add(f"{name}.w", rng.normal(0.0, INIT_STD, size=(cout, cin, k, k)))
-    p.add(f"{name}.b", np.zeros(cout))
-    if norm:
-        p.add(f"{name}.gamma", np.ones(cout))
-        p.add(f"{name}.beta", np.zeros(cout))
-
-
-def _add_conv_transpose(p, rng, name, cin, cout, k):
-    p.add(f"{name}.w", rng.normal(0.0, INIT_STD, size=(cin, cout, k, k)))
-    p.add(f"{name}.b", np.zeros(cout))
-    p.add(f"{name}.gamma", np.ones(cout))
-    p.add(f"{name}.beta", np.zeros(cout))
+    if kind == "generator":
+        f = width
+        conv("stem", 1, f, 7)
+        conv("down1", f, 2 * f, 3)
+        conv("down2", 2 * f, 4 * f, 3)
+        for i in range(1, RESIDUAL_BLOCKS + 1):
+            conv(f"res{i}.c1", 4 * f, 4 * f, 3)
+            conv(f"res{i}.c2", 4 * f, 4 * f, 3)
+        conv("up1", 4 * f, 2 * f, 3, transposed=True)
+        conv("up2", 2 * f, f, 3, transposed=True)
+        conv("head", f, 1, 7, norm=False)
+    elif kind == "discriminator":
+        d = width
+        conv("c1", 1, d, 4, norm=False)
+        conv("c2", d, 2 * d, 4)
+        conv("c3", 2 * d, 4 * d, 4)
+        conv("c4", 4 * d, 8 * d, 4)
+        conv("c5", 8 * d, 1, 4, norm=False)
+    else:
+        raise ValueError(f"unknown network kind {kind!r}")
+    return shapes
 
 
 def init_params(kind, width=64, rng_seed=0):
@@ -103,30 +111,29 @@ def init_params(kind, width=64, rng_seed=0):
     Weights ~ Normal(0, 0.02), biases 0, norm affine at identity;
     deterministic for a given seed.
     """
+    shapes = param_shapes(kind, width)
     rng = np.random.default_rng(np.random.PCG64(rng_seed))
-    if kind == "generator":
-        f = width
-        p = GeneratorParams(f)
-        _add_conv(p, rng, "stem", 1, f, 7)
-        _add_conv(p, rng, "down1", f, 2 * f, 3)
-        _add_conv(p, rng, "down2", 2 * f, 4 * f, 3)
-        for i in range(1, RESIDUAL_BLOCKS + 1):
-            _add_conv(p, rng, f"res{i}.c1", 4 * f, 4 * f, 3)
-            _add_conv(p, rng, f"res{i}.c2", 4 * f, 4 * f, 3)
-        _add_conv_transpose(p, rng, "up1", 4 * f, 2 * f, 3)
-        _add_conv_transpose(p, rng, "up2", 2 * f, f, 3)
-        _add_conv(p, rng, "head", f, 1, 7, norm=False)
-        return p
-    if kind == "discriminator":
-        d = width
-        p = DiscriminatorParams(d)
-        _add_conv(p, rng, "c1", 1, d, 4, norm=False)
-        _add_conv(p, rng, "c2", d, 2 * d, 4)
-        _add_conv(p, rng, "c3", 2 * d, 4 * d, 4)
-        _add_conv(p, rng, "c4", 4 * d, 8 * d, 4)
-        _add_conv(p, rng, "c5", 8 * d, 1, 4, norm=False)
-        return p
-    raise ValueError(f"unknown network kind {kind!r}")
+    p = ParamGroup(kind, width)
+    for name, shape in shapes.items():
+        if name.endswith(".w"):
+            p.add(name, rng.normal(0.0, INIT_STD, size=shape))
+        else:
+            p.add(name, np.ones(shape) if name.endswith(".gamma") else np.zeros(shape))
+    return p
+
+
+def params_from_arrays(kind, width, arrays):
+    """A network's parameters taken from name -> array, checked against param_shapes.
+
+    Raises KeyError for a missing parameter and ValueError for a wrong shape.
+    """
+    p = ParamGroup(kind, width)
+    for name, shape in param_shapes(kind, width).items():
+        src = arrays[name]
+        if src.shape != shape:
+            raise ValueError(f"parameter {name}: shape {src.shape} != {shape}")
+        p.add(name, src)
+    return p
 
 
 def _conv_in_relu(p, name, x, stride, pad, pad_mode="zeros"):

@@ -376,6 +376,10 @@ def _unpack_state(arrays, meta, nets, opts, pools):
 LOG_HEADER = ["epoch", "iter", "lr", "d_ct", "d_mr", "g_adv_ct", "g_adv_mr",
               "cycle", "total_g", "total_d"]
 
+# the only config fields a resumed run may change; any other change would break
+# the promise that a resumed run equals an unbroken one
+RESUME_OVERRIDES = ("fixed_epochs", "decay_epochs", "checkpoint_every")
+
 
 def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
     """Train per config over SliceVolume lists; writes checkpoints and the CSV log.
@@ -405,20 +409,24 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
     if resume_from is not None:
         arrays, meta = read_checkpoint(resume_from)
         saved = meta.get("config", {})
-        for key in ("mode", "width_f", "width_d"):
-            if saved.get(key) != getattr(cfg, key):
+        for key, value in cfg.to_dict().items():
+            if key not in RESUME_OVERRIDES and saved.get(key) != value:
                 raise ValueError(
                     f"resume config mismatch on {key}: checkpoint has "
-                    f"{saved.get(key)!r}, run has {getattr(cfg, key)!r}")
+                    f"{saved.get(key)!r}, run has {value!r}")
         _unpack_state(arrays, meta, nets, opts, pools)
         start_epoch = int(meta["epoch"])
 
     log_path = out_dir / "loss_log.csv"
-    fresh_log = not (resume_from is not None and log_path.exists())
-    log_f = open(log_path, "w" if fresh_log else "a", newline="")
+    kept = []
+    if resume_from is not None and log_path.exists():
+        # keep the rows of the epochs the checkpoint holds; the rest are rerun
+        with open(log_path, newline="") as f:
+            kept = [r for r in f.readlines()[1:] if int(r.split(",", 1)[0]) < start_epoch]
+    log_f = open(log_path, "w", newline="")
     log = csv.writer(log_f)
-    if fresh_log:
-        log.writerow(LOG_HEADER)
+    log.writerow(LOG_HEADER)
+    log_f.writelines(kept)
 
     if resume_from is None:
         final_ckpt = out_dir / "ckpt_epoch0.csyn"

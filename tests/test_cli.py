@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, artifacts, determinism."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from cyclesynth import cli, data
-from cyclesynth.checkpoint import read_checkpoint
+from cyclesynth.checkpoint import read_checkpoint, write_checkpoint
+from cyclesynth.models import param_shapes
 
 MAE_A = [70.3, 76.2, 75.5, 75.2, 72.0, 73.0]
 PSNR_A = [31.1, 32.1, 32.9, 32.9, 32.3, 32.5]
@@ -141,6 +143,16 @@ def test_train_failure_still_leaves_manifest(workspace, tmp_path):
     assert (out / "manifest.json").exists()
 
 
+def test_train_resume_rejects_other_seed(workspace, tmp_path, capsys):
+    assert cli.main(["train", "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "resumed"),
+                     "--epochs-fixed", "2", "--epochs-decay", "0",
+                     "--width-f", "4", "--width-d", "4", "--checkpoint-every", "1",
+                     "--seed", "4",
+                     "--resume", str(workspace / "run" / "ckpt_epoch1.csyn")]) == 2
+    assert "resume config mismatch on seed" in capsys.readouterr().err
+
+
 # -- infer ----------------------------------------------------------------
 
 
@@ -180,6 +192,23 @@ def test_infer_missing_checkpoint(workspace, tmp_path):
                      "--out", str(tmp_path / "x.svol")]) == 2
 
 
+def test_load_generator_takes_checkpoint_arrays(workspace, tmp_path):
+    ckpt = workspace / "run" / "ckpt_epoch1.csyn"
+    arrays, meta = read_checkpoint(ckpt)
+    group, _, _ = cli.load_generator(ckpt, "mr2ct")
+    assert group.names() == list(param_shapes("generator", 4))
+    for name, t in group.items():
+        assert np.array_equal(t.data, arrays[f"g_mr2ct/{name}"])
+    only_fwd = {k: a for k, a in arrays.items() if k.startswith("g_mr2ct/")}
+    write_checkpoint(tmp_path / "fwd.csyn", only_fwd, meta)
+    with pytest.raises(ValueError, match="has no g_ct2mr network"):
+        cli.load_generator(tmp_path / "fwd.csyn", "ct2mr")
+    only_fwd["g_mr2ct/head.w"] = np.zeros((1, 4, 5, 5), np.float32)
+    write_checkpoint(tmp_path / "bad.csyn", only_fwd, meta)
+    with pytest.raises(ValueError, match="head.w"):
+        cli.load_generator(tmp_path / "bad.csyn", "mr2ct")
+
+
 def test_infer_roundtrip_volume_is_wellformed(workspace, tmp_path):
     """mr -> ct -> mr through both generators stays a valid volume."""
     fwd = tmp_path / "fwd.svol"
@@ -205,6 +234,24 @@ def test_eval_identical_volumes(workspace, capsys):
     out = capsys.readouterr().out
     assert "0.0" in out   # MAE exactly zero
     assert "---" in out   # PSNR unbounded, shown as missing
+
+
+def test_eval_single_files_comparative(workspace, capsys):
+    # one pair per set: neither SD is defined
+    ct0, ct1 = (str(workspace / "data" / f"ct_00{i}.svol") for i in (0, 1))
+    assert cli.main(["eval", "--real", ct0, "--synth", ct0, "--synth-b", ct1,
+                     "--mask-from", "compute"]) == 0
+    assert "+/- n/a" in capsys.readouterr().out
+
+
+def test_eval_directory_without_finite_psnr(workspace, tmp_path, capsys):
+    cts = tmp_path / "cts"
+    cts.mkdir()
+    for name in ("ct_000.svol", "ct_001.svol"):
+        shutil.copy(workspace / "data" / name, cts / name)
+    assert cli.main(["eval", "--real", str(cts), "--synth", str(cts),
+                     "--mask-from", "compute"]) == 0
+    assert "n/a +/- n/a" in capsys.readouterr().out
 
 
 def test_eval_missing_mask_source(workspace, tmp_path, capsys):

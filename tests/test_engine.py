@@ -48,6 +48,38 @@ class TestReduce:
         assert engine.tmean(T(np.full((3, 5), c))).item() == pytest.approx(c, abs=1e-6)
 
 
+# (stride, pad, pad_mode, Cin, Cout, k, size) for the conv2d forward and gradient
+# tests; Cout < Cin at stride 1 takes the flipped-kernel input gradient, every
+# other case the col2im scatter
+CONV_CASES = [
+    pytest.param(1, 0, "zeros", 2, 3, 3, 6, id="1-0-zeros"),
+    pytest.param(2, 1, "zeros", 2, 3, 3, 6, id="2-1-zeros"),
+    pytest.param(1, 1, "reflect", 2, 3, 3, 6, id="1-1-reflect"),
+    pytest.param(1, 3, "reflect", 2, 3, 3, 6, id="1-3-reflect"),
+    pytest.param(1, 1, "zeros", 5, 2, 3, 6, id="cout<cin-1-1-zeros"),
+    pytest.param(1, 1, "reflect", 5, 2, 3, 6, id="cout<cin-1-1-reflect"),
+    pytest.param(2, 1, "zeros", 5, 2, 4, 7, id="cout<cin-2-1-zeros"),
+    pytest.param(2, 1, "reflect", 2, 5, 3, 7, id="cout>cin-2-1-reflect"),
+    pytest.param(1, 1, "zeros", 2, 5, 4, 6, id="cout>cin-1-1-zeros"),
+    pytest.param(1, 3, "reflect", 4, 1, 7, 8, id="head-7x7-reflect3"),
+]
+
+
+def explicit_conv2d(x, w, b, stride, pad, pad_mode):
+    """float64 cross-correlation by explicit windows, one output pixel at a time."""
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                mode="constant" if pad_mode == "zeros" else "reflect")
+    k = w.shape[2]
+    ho = (xp.shape[2] - k) // stride + 1
+    wo = (xp.shape[3] - k) // stride + 1
+    out = np.empty((x.shape[0], w.shape[0], ho, wo))
+    for y in range(ho):
+        for z in range(wo):
+            win = xp[:, :, y * stride:y * stride + k, z * stride:z * stride + k]
+            out[:, :, y, z] = np.einsum("ncij,ocij->no", win, w) + b
+    return out
+
+
 class TestConv2d:
     def test_ones_kernel(self):
         x = T(np.ones((1, 1, 4, 4)))
@@ -89,6 +121,18 @@ class TestConv2d:
                + b_coef * conv2d(T(y), w, b, stride=1, pad=1).data)
         scale = max(np.abs(lhs).max(), 1.0)
         assert np.abs(lhs - rhs).max() / scale <= 1e-4
+
+    @pytest.mark.parametrize("stride,pad,pad_mode,cin,cout,k,size", CONV_CASES)
+    def test_matches_explicit_windows(self, stride, pad, pad_mode, cin, cout, k, size):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, cin, size, size))
+        w = rng.normal(size=(cout, cin, k, k))
+        b = rng.normal(size=cout)
+        with engine.precision(np.float64):
+            got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad,
+                         pad_mode=pad_mode).data
+        np.testing.assert_allclose(got, explicit_conv2d(x, w, b, stride, pad, pad_mode),
+                                   rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("pad_mode", ["zeros", "reflect"])
     def test_reflect_pad_matches_manual(self, pad_mode):
@@ -229,14 +273,12 @@ class TestGradientOracle:
 
         gradcheck(build, [a], rng)
 
-    @pytest.mark.parametrize("stride,pad,pad_mode", [
-        (1, 0, "zeros"), (2, 1, "zeros"), (1, 1, "reflect"), (1, 3, "reflect"),
-    ])
-    def test_conv2d_grads(self, stride, pad, pad_mode):
+    @pytest.mark.parametrize("stride,pad,pad_mode,cin,cout,k,size", CONV_CASES)
+    def test_conv2d_grads(self, stride, pad, pad_mode, cin, cout, k, size):
         rng = self._rng()
-        x = rng.normal(size=(2, 2, 6, 6)).astype(np.float32)
-        w = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
-        b = rng.normal(size=3).astype(np.float32)
+        x = rng.normal(size=(2, cin, size, size)).astype(np.float32)
+        w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
+        b = rng.normal(size=cout).astype(np.float32)
         proj = rng.normal(size=1).astype(np.float32)
 
         def build(ts):
@@ -245,12 +287,18 @@ class TestGradientOracle:
 
         gradcheck(build, [x, w, b], rng)
 
-    @pytest.mark.parametrize("stride,pad,output_pad", [(1, 0, 0), (2, 1, 1), (2, 0, 0)])
-    def test_conv_transpose2d_grads(self, stride, pad, output_pad):
+    @pytest.mark.parametrize("stride,pad,output_pad,cin,cout", [
+        pytest.param(1, 0, 0, 3, 2, id="1-0-0"),
+        pytest.param(2, 1, 1, 3, 2, id="2-1-1"),
+        pytest.param(2, 0, 0, 3, 2, id="2-0-0"),
+        # Cin < Cout at stride 1: the forward takes conv2d's flipped-kernel path
+        pytest.param(1, 1, 0, 2, 3, id="cin<cout-1-1-0"),
+    ])
+    def test_conv_transpose2d_grads(self, stride, pad, output_pad, cin, cout):
         rng = self._rng()
-        x = rng.normal(size=(2, 3, 5, 5)).astype(np.float32)
-        w = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
-        b = rng.normal(size=2).astype(np.float32)
+        x = rng.normal(size=(2, cin, 5, 5)).astype(np.float32)
+        w = rng.normal(size=(cin, cout, 3, 3)).astype(np.float32)
+        b = rng.normal(size=cout).astype(np.float32)
 
         def build(ts):
             out = conv_transpose2d(ts[0], ts[1], ts[2], stride=stride, pad=pad,

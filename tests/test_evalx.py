@@ -249,6 +249,16 @@ class TestReportRendering:
         for frag in ("73.7 +/- 2.3", "89.4 +/- 6.8", "32.3 +/- 0.7", "30.6 +/- 0.9"):
             assert frag in text
 
+    def test_undefined_aggregates_read_na(self):
+        with pytest.warns(UserWarning, match="SD omitted"):
+            one = build_report(rows_from(MAE_UNPAIRED[:1], PSNR_UNPAIRED[:1]))
+        no_psnr = build_report(rows_from([0.0, 0.0], [None, None]))
+        assert "70.3 +/- n/a" in render_table(one)
+        assert "0.0 +/- 0.0       n/a +/- n/a" in render_table(no_psnr)
+        both = render_table(one, no_psnr).splitlines()[-1]
+        assert both.split()[3:] == ["70.3", "+/-", "n/a", "0.0", "+/-", "0.0",
+                                    "31.1", "+/-", "n/a", "n/a", "+/-", "n/a"]
+
     def test_json_round_trip(self):
         import json
 

@@ -412,6 +412,38 @@ def test_resume_rejects_config_mismatch(tmp_path):
                            resume_from=tmp_path / "ckpt_epoch1.csyn")
 
 
+def test_resume_log_matches_unbroken_run(tmp_path):
+    mr, ct = volume_pair(n_vols=1, n_slices=2)
+    cfg = tiny_config(fixed_epochs=2, decay_epochs=0, checkpoint_every=1)
+    train.run_training(mr, ct, cfg, tmp_path / "straight")
+    # resumed from epoch 1 into a directory whose log already holds epoch 1
+    again = tmp_path / "again"
+    train.run_training(mr, ct, cfg, again)
+    train.run_training(mr, ct, cfg, again, resume_from=again / "ckpt_epoch1.csyn")
+    assert ((again / "loss_log.csv").read_bytes()
+            == (tmp_path / "straight" / "loss_log.csv").read_bytes())
+
+
+@pytest.mark.parametrize("field,value", [("seed", 8), ("lam", 3.0), ("batch_size", 2)])
+def test_resume_rejects_changed_run_setting(tmp_path, field, value):
+    mr, ct = volume_pair(n_vols=1, n_slices=1)
+    train.run_training(mr, ct, tiny_config(), tmp_path)
+    other = tiny_config(fixed_epochs=2, **{field: value})
+    with pytest.raises(ValueError, match=f"mismatch on {field}"):
+        train.run_training(mr, ct, other, tmp_path,
+                           resume_from=tmp_path / "ckpt_epoch1.csyn")
+
+
+def test_resume_accepts_new_epoch_counts_and_checkpoint_every(tmp_path):
+    mr, ct = volume_pair(n_vols=1, n_slices=1)
+    train.run_training(mr, ct, tiny_config(), tmp_path)
+    longer = tiny_config(fixed_epochs=2, decay_epochs=1, checkpoint_every=5)
+    out = train.run_training(mr, ct, longer, tmp_path,
+                             resume_from=tmp_path / "ckpt_epoch1.csyn")
+    assert out["final_checkpoint"] == str(tmp_path / "ckpt_epoch3.csyn")
+    assert [int(r[0]) for r in read_log(tmp_path / "loss_log.csv")] == [0, 1, 2]
+
+
 def test_paired_mode_log_columns(tmp_path):
     mr, ct = volume_pair(n_vols=1, n_slices=2)
     cfg = tiny_config(mode="paired_baseline", fixed_epochs=1, decay_epochs=0)
