@@ -14,6 +14,8 @@ import struct
 
 import numpy as np
 
+from .data import write_atomic
+
 CKPT_MAGIC = b"CSYN1"
 
 
@@ -49,12 +51,7 @@ def write_checkpoint(path, arrays, meta=None):
         offset += arr.nbytes
     manifest = {"meta": meta if meta is not None else {}, "entries": entries}
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for c in chunks:
-            f.write(c)
+    write_atomic(path, [CKPT_MAGIC, struct.pack("<I", len(blob)), blob] + chunks)
 
 
 def read_checkpoint(path):

@@ -118,8 +118,8 @@ def cmd_train(args):
         "outputs": {"dir": str(out), "log": str(out / "loss_log.csv"),
                     "checkpoints": str(out / "ckpt_epoch{N}.csyn")},
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2,
-                                                  sort_keys=True))
+    data.write_atomic(out / "manifest.json",
+                      [json.dumps(manifest, indent=2, sort_keys=True).encode()])
 
     summary = train.run_training(mr_vols, ct_vols, cfg, out,
                                  resume_from=args.resume)
@@ -174,9 +174,11 @@ def cmd_infer(args):
     if vol.modality not in accepted:
         raise ValueError(f"direction {args.direction} expects a volume with "
                          f"modality in {accepted}, got {vol.modality!r}")
+    start = time.perf_counter()
     synth = synthesize_volume(group, vol, out_modality)
+    rate = synth.dims[0] / (time.perf_counter() - start)
     data.save_volume(synth, args.out)
-    print(f"synthesized {synth.dims[0]} slices -> {args.out}")
+    print(f"synthesized {synth.dims[0]} slices -> {args.out} ({rate:.1f} slices/s)")
     return 0
 
 

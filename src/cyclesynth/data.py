@@ -14,7 +14,9 @@ of the CT copy model registration error between the pair.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -350,6 +352,24 @@ def phantom_generate(spec, seed=0):
 # -- SVOL container -------------------------------------------------------
 
 
+def write_atomic(path, chunks):
+    """Write byte chunks to a temp file beside path, then os.replace it onto path.
+
+    A write that raises leaves the previous file at path (or none) and
+    removes its temp file; path never holds a partly written file.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_volume(volume, path):
     header = {
         "modality": volume.modality,
@@ -359,13 +379,10 @@ def save_volume(volume, path):
         "has_mask": volume.mask is not None,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
-        f.write(SVOL_MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(volume.voxels.tobytes())
-        if volume.mask is not None:
-            f.write(volume.mask.astype(np.uint8).tobytes())
+    chunks = [SVOL_MAGIC, struct.pack("<I", len(blob)), blob, volume.voxels.tobytes()]
+    if volume.mask is not None:
+        chunks.append(volume.mask.astype(np.uint8).tobytes())
+    write_atomic(path, chunks)
 
 
 def load_volume(path):

@@ -353,6 +353,15 @@ def _col2im(cols, shape, k, stride, ho, wo):
     return out.transpose(1, 0, 2, 3)
 
 
+def _sum_windows(p, ho, wo):
+    """Adjoint of _col2im's scatter at stride 1: sum the k*k shifted windows of [N,C,k,k,Hp,Wp]."""
+    out = np.zeros(p.shape[:2] + (ho, wo), dtype=p.dtype)
+    for i in range(p.shape[2]):
+        for j in range(p.shape[3]):
+            out += p[:, :, i, j, i:i + ho, j:j + wo]
+    return out
+
+
 def _conv_input_grad(g, w, stride, ext_h, ext_w):
     """Gradient w.r.t. conv2d's padded input: a col2im scatter (Cin*k*k column rows) or,
     at stride 1 with Cout < Cin, a full correlation with the flipped kernel (Cout*k*k)."""
@@ -386,15 +395,24 @@ def conv2d(x, w, b, stride=1, pad=0, pad_mode="zeros"):
             f"conv2d geometry invalid: input {h}x{wd}, k={k}, stride={stride}, "
             f"pad={pad} gives output {ho}x{wo}")
 
-    cols = _im2col(_pad2d(x.data, pad, pad_mode), k, stride)
-    out = (w.data.reshape(cout, -1) @ cols).reshape(cout, n, ho, wo)
-    out = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+    xp = _pad2d(x.data, pad, pad_mode)
+    if stride == 1 and cout < cin:
+        # narrow side, as in _conv_input_grad: Cout*k*k GEMM rows per sample, then the
+        # k*k shifted windows summed; dW's Cin*k*k columns are built in bwd, if at all
+        wt = w.data.transpose(0, 2, 3, 1).reshape(-1, cin)
+        p = (wt @ xp.reshape(n, cin, -1)).reshape(n, cout, k, k, *xp.shape[2:])
+        out, cols = _sum_windows(p, ho, wo), None
+    else:
+        cols, xp = _im2col(xp, k, stride), None
+        out = (w.data.reshape(cout, -1) @ cols).reshape(cout, n, ho, wo)
+        out = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
     out += b.data.reshape(1, cout, 1, 1)
 
     def bwd(g):
         if w.requires_grad:
             g2 = g.transpose(1, 0, 2, 3).reshape(cout, -1)
-            w._accumulate((g2 @ cols.T).reshape(w.data.shape))
+            c = _im2col(xp, k, 1) if cols is None else cols
+            w._accumulate((g2 @ c.T).reshape(w.data.shape))
         if b.requires_grad:
             b._accumulate(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:

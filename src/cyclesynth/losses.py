@@ -45,11 +45,6 @@ def loss_dis(score_real, score_fake):
                       _mean_sq_toward(score_fake, 0.0))
 
 
-# both domains use the same form; kept as named entry points for the trainer
-loss_dis_ct = loss_dis
-loss_dis_mr = loss_dis
-
-
 def loss_gen_adv(score_fake):
     """Generator-side adversarial term: mean (1 - score_fake)^2.
 

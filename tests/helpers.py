@@ -5,9 +5,24 @@ engine's backward pass: it only ever calls forward code, so it can vouch
 for the analytic gradients.
 """
 
+import contextlib
+import resource
+
 import numpy as np
 
 from cyclesynth import engine
+
+
+@contextlib.contextmanager
+def file_size_limit(nbytes):
+    """Make this process's writes past nbytes of any file fail with OSError (EFBIG),
+    as on a full disk. Python ignores SIGXFSZ, so the write raises instead."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (nbytes, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
 
 
 def central_diff(loss_fn, arrays, t_idx, flat_idx, h):
@@ -71,18 +86,20 @@ def bfs_largest_component_filled(fg):
     return mask | (bg & ~reached)
 
 
-def gradcheck(build_loss, arrays, rng, probes=20, h=1e-3, tol=1e-2):
+def gradcheck(build_loss, arrays, rng, probes=20, h=1e-3, tol=1e-2, wrt=None):
     """Compare engine gradients against central differences.
 
-    build_loss maps a list of Tensors to a scalar Tensor. Returns the
-    max deviation normalized by the largest gradient magnitude seen, and
-    asserts it is within tol.
+    build_loss maps a list of Tensors to a scalar Tensor. Only the arrays
+    whose indices are in wrt (default: all) require grad and are probed.
+    Returns the max deviation normalized by the largest gradient magnitude
+    seen, and asserts it is within tol.
     """
-    tensors = [engine.Tensor(a, requires_grad=True) for a in arrays]
+    wrt = range(len(arrays)) if wrt is None else wrt
+    tensors = [engine.Tensor(a, requires_grad=i in wrt) for i, a in enumerate(arrays)]
     loss = build_loss(tensors)
     engine.backward(loss)
     grads = [t.grad for t in tensors]
-    assert all(g is not None for g in grads)
+    assert all((g is not None) == (i in wrt) for i, g in enumerate(grads))
 
     def loss_value(plain):
         with engine.no_grad():
@@ -90,7 +107,7 @@ def gradcheck(build_loss, arrays, rng, probes=20, h=1e-3, tol=1e-2):
 
     analytic = []
     numeric = []
-    sizes = [a.size for a in arrays]
+    sizes = [a.size if i in wrt else 0 for i, a in enumerate(arrays)]
     total = sum(sizes)
     for _ in range(probes):
         pick = int(rng.integers(total))

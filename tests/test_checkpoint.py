@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from cyclesynth import checkpoint
 from cyclesynth.checkpoint import read_checkpoint, write_checkpoint
 from cyclesynth.models import init_params
 from cyclesynth.optim import AdamState, adam_step
+
+from helpers import file_size_limit
 
 
 def sample_arrays():
@@ -113,3 +117,12 @@ class TestCorruption:
         write_checkpoint(path, {}, {"note": "init"})
         arrays, meta = read_checkpoint(path)
         assert arrays == {} and meta == {"note": "init"}
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "ckpt_epoch1.csyn"
+        write_checkpoint(path, sample_arrays(), {"epoch": 1})
+        before = path.read_bytes()
+        with file_size_limit(256), pytest.raises(OSError):
+            write_checkpoint(path, sample_arrays(), {"epoch": 2})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [path.name]

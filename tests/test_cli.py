@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, artifacts, determinism."""
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -156,11 +157,13 @@ def test_train_resume_rejects_other_seed(workspace, tmp_path, capsys):
 # -- infer ----------------------------------------------------------------
 
 
-def test_infer_output_volume(workspace, tmp_path):
+def test_infer_output_volume(workspace, tmp_path, capsys):
     out = tmp_path / "synth.svol"
     assert cli.main(["infer", "--ckpt", str(workspace / "run" / "ckpt_epoch1.csyn"),
                      "--in", str(workspace / "data" / "mr_000.svol"),
                      "--direction", "mr2ct", "--out", str(out)]) == 0
+    line = capsys.readouterr().out
+    assert re.fullmatch(rf"synthesized 2 slices -> {re.escape(str(out))} \(\d+\.\d slices/s\)\n", line)
     vol = data.load_volume(out)
     src = data.load_volume(workspace / "data" / "mr_000.svol")
     assert vol.modality == "SYNTH_CT"

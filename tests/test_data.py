@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from cyclesynth.data import (
     to_model_range,
 )
 
-from helpers import bfs_largest_component_filled
+from helpers import bfs_largest_component_filled, file_size_limit
 
 
 class TestQuantize:
@@ -283,6 +285,15 @@ class TestSvolRoundTrip:
         save_volume(vol, p1)
         save_volume(load_volume(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_keeps_previous_volume(self, tmp_path):
+        path = tmp_path / "v.svol"
+        save_volume(self.make_vol(False), path)
+        before = path.read_bytes()
+        with file_size_limit(64), pytest.raises(OSError):
+            save_volume(self.make_vol(True), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [path.name]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "v.svol"

@@ -134,6 +134,23 @@ class TestConv2d:
         np.testing.assert_allclose(got, explicit_conv2d(x, w, b, stride, pad, pad_mode),
                                    rtol=1e-12, atol=1e-12)
 
+    def test_head_under_no_grad_builds_no_columns(self, monkeypatch):
+        # the generator head as infer runs it: Cout < Cin at stride 1 takes the narrow forward
+        built = []
+        im2col = engine._im2col
+        monkeypatch.setattr(engine, "_im2col", lambda *a: built.append(a) or im2col(*a))
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(8, 4, 12, 12)).astype(np.float32)
+        w = rng.normal(size=(1, 4, 7, 7)).astype(np.float32)
+        b = rng.normal(size=1).astype(np.float32)
+        with engine.no_grad():
+            out = conv2d(T(x, grad=True), T(w, grad=True), T(b, grad=True),
+                         stride=1, pad=3, pad_mode="reflect")
+        assert not out.requires_grad and out._backward is None and out._parents == ()
+        assert built == []
+        np.testing.assert_allclose(out.data, explicit_conv2d(x, w, b, 1, 3, "reflect"),
+                                   rtol=1e-5, atol=1e-4)
+
     @pytest.mark.parametrize("pad_mode", ["zeros", "reflect"])
     def test_reflect_pad_matches_manual(self, pad_mode):
         rng = np.random.default_rng(2)
@@ -287,6 +304,25 @@ class TestGradientOracle:
 
         gradcheck(build, [x, w, b], rng)
 
+    @pytest.mark.parametrize("wrt", [pytest.param((0,), id="x"), pytest.param((1,), id="w")])
+    @pytest.mark.parametrize("pad,pad_mode,cin,k,size", [
+        pytest.param(3, "reflect", 4, 7, 8, id="head"),
+        pytest.param(1, "zeros", 8, 4, 5, id="c5"),
+    ])
+    def test_narrow_conv2d_partial_grads(self, pad, pad_mode, cin, k, size, wrt):
+        # Cout < Cin at stride 1 builds the weight gradient's columns only when w needs them
+        rng = self._rng()
+        x = rng.normal(size=(2, cin, size, size)).astype(np.float32)
+        w = rng.normal(size=(1, cin, k, k)).astype(np.float32)
+        b = rng.normal(size=1).astype(np.float32)
+        proj = rng.normal(size=1).astype(np.float32)
+
+        def build(ts):
+            out = conv2d(ts[0], ts[1], ts[2], stride=1, pad=pad, pad_mode=pad_mode)
+            return engine.tmean(engine.mul(out, Tensor(proj[0])))
+
+        gradcheck(build, [x, w, b], rng, wrt=wrt)
+
     @pytest.mark.parametrize("stride,pad,output_pad,cin,cout", [
         pytest.param(1, 0, 0, 3, 2, id="1-0-0"),
         pytest.param(2, 1, 1, 3, 2, id="2-1-1"),
@@ -333,13 +369,14 @@ class TestGradientOracle:
 
 
 class TestDeterminism:
-    def test_replay_is_bitwise_identical(self):
+    @staticmethod
+    def _assert_replays(x_shape, w_shape, pad):
         def run():
             rng = np.random.default_rng(1234)
-            x = T(rng.normal(size=(1, 1, 8, 8)), grad=True)
-            w = T(rng.normal(size=(2, 1, 3, 3)), grad=True)
-            b = T(rng.normal(size=2), grad=True)
-            out = conv2d(x, w, b, stride=1, pad=1, pad_mode="reflect")
+            x = T(rng.normal(size=x_shape), grad=True)
+            w = T(rng.normal(size=w_shape), grad=True)
+            b = T(rng.normal(size=w_shape[0]), grad=True)
+            out = conv2d(x, w, b, stride=1, pad=pad, pad_mode="reflect")
             loss = engine.tmean(engine.square(engine.tanh(out)))
             backward(loss)
             return loss.data.copy(), x.grad.copy(), w.grad.copy(), b.grad.copy()
@@ -348,6 +385,13 @@ class TestDeterminism:
         second = run()
         for a, b_arr in zip(first, second):
             assert np.array_equal(a, b_arr)
+
+    def test_replay_is_bitwise_identical(self):
+        self._assert_replays((1, 1, 8, 8), (2, 1, 3, 3), 1)
+
+    def test_head_replay_is_bitwise_identical(self):
+        # the generator head's geometry: narrow forward, weight columns built in backward
+        self._assert_replays((8, 4, 16, 16), (1, 4, 7, 7), 3)
 
     def test_tape_topological_order(self):
         x = T([1.0], grad=True)

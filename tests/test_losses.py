@@ -15,22 +15,21 @@ def const_map(value, shape=(1, 1, 3, 3)):
 
 class TestDiscriminatorLoss:
     def test_perfect_discriminator_is_zero(self):
-        v = losses.loss_dis_ct(const_map(1.0), const_map(0.0)).item()
+        v = losses.loss_dis(const_map(1.0), const_map(0.0)).item()
         assert abs(v - 0.0) <= 1e-6
 
     def test_undecided_half(self):
-        v = losses.loss_dis_ct(const_map(0.5), const_map(0.5)).item()
+        v = losses.loss_dis(const_map(0.5), const_map(0.5)).item()
         assert abs(v - 0.5) <= 1e-6
 
     def test_maximally_wrong(self):
-        v = losses.loss_dis_ct(const_map(0.0), const_map(1.0)).item()
+        v = losses.loss_dis(const_map(0.0), const_map(1.0)).item()
         assert abs(v - 2.0) <= 1e-6
 
     def test_mr_form_is_same_function(self):
         # The MR discriminator objective is the CT one with roles swapped,
-        # so the callable is shared.
-        assert losses.loss_dis_mr is losses.loss_dis
-        v = losses.loss_dis_mr(const_map(0.5), const_map(0.5)).item()
+        # so both domains call loss_dis.
+        v = losses.loss_dis(const_map(0.5), const_map(0.5)).item()
         assert abs(v - 0.5) <= 1e-6
 
     def test_maps_of_different_shapes_allowed(self):
