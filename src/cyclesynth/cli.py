@@ -54,6 +54,8 @@ def _utc_now():
 
 
 def cmd_phantom(args):
+    if args.volumes < 1:
+        raise ValueError(f"--volumes must be >= 1, got {args.volumes}")
     h, w = args.size
     spec = data.PhantomSpec(n_volumes=args.volumes,
                             slices_per_volume=args.slices,
@@ -101,6 +103,8 @@ def cmd_train(args):
         width_f=args.width_f, width_d=args.width_d,
         crop_size=args.crop, checkpoint_every=args.checkpoint_every,
     ).validate()
+    if args.limit_volumes is not None and args.limit_volumes < 1:
+        raise ValueError(f"--limit-volumes must be >= 1, got {args.limit_volumes}")
 
     mr_paths, mr_vols = _load_modality(args.data, "mr", args.limit_volumes)
     ct_paths, ct_vols = _load_modality(args.data, "ct", args.limit_volumes)
@@ -254,7 +258,7 @@ def _ttest_lines(rows_a, rows_b):
 
 
 def cmd_eval(args):
-    report_b = ttest = None
+    report_b = ttest = rate_line = None
     if args.from_csv:
         rows_a, rows_b = _rows_from_csv(args.from_csv)
         report_a = evalx.build_report(rows_a, mode=args.psnr_mode)
@@ -263,11 +267,15 @@ def cmd_eval(args):
     else:
         if not args.real or not args.synth:
             raise ValueError("eval needs --real and --synth (or --from-csv)")
-        report_a = _eval_pairs(_collect_pairs(args.real, args.synth),
-                               args.mask_from, args.psnr_mode)
-        if args.synth_b:
-            report_b = _eval_pairs(_collect_pairs(args.real, args.synth_b),
-                                   args.mask_from, args.psnr_mode)
+        pairs_a = _collect_pairs(args.real, args.synth)
+        pairs_b = _collect_pairs(args.real, args.synth_b) if args.synth_b else []
+        start = time.perf_counter()
+        report_a = _eval_pairs(pairs_a, args.mask_from, args.psnr_mode)
+        if pairs_b:
+            report_b = _eval_pairs(pairs_b, args.mask_from, args.psnr_mode)
+        scored = len(pairs_a) + len(pairs_b)
+        rate = scored / (time.perf_counter() - start)
+        rate_line = f"evaluated {scored} volumes ({rate:.1f} volumes/s)"
 
     lines = [evalx.render_table(report_a, report_b,
                                 label_a=args.label_a, label_b=args.label_b)]
@@ -275,6 +283,8 @@ def cmd_eval(args):
         t, p, extra = _ttest_lines(report_a.rows, report_b.rows)
         ttest = {"t": t, "p": p}
         lines += extra
+    if rate_line:
+        lines.append(rate_line)
     print("\n".join(lines))
 
     if args.report:

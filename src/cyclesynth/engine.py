@@ -362,6 +362,29 @@ def _sum_windows(p, ho, wo):
     return out
 
 
+def _narrow_weight_grad(g, xp, k):
+    """conv2d's stride-1 weight gradient as k*k small GEMMs, no Cin*k*k columns.
+
+    Xf is the padded input flattened channel-first to [Cin, N*Hp*Wp] and Gf the
+    output gradient placed in the same grid, zero outside Ho x Wo. Output (n,y,x)
+    at flat position q reads input q + i*Wp + j through tap (i,j), so each tap is
+    Gf[:, :L] @ Xf[:, off:off+L].T on a shifted view; the zeros add nothing.
+    """
+    n, cout, ho, wo = g.shape
+    cin, hp, wp = xp.shape[1:]
+    xf = xp.transpose(1, 0, 2, 3).reshape(cin, -1)
+    gf = np.zeros((cout, n, hp, wp), dtype=g.dtype)
+    gf[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
+    span = n * hp * wp - (k - 1) * (wp + 1)
+    gf = gf.reshape(cout, -1)[:, :span]
+    dw = np.empty((cout, cin, k, k), dtype=g.dtype)
+    for i in range(k):
+        for j in range(k):
+            off = i * wp + j
+            dw[:, :, i, j] = gf @ xf[:, off:off + span].T
+    return dw
+
+
 def _conv_input_grad(g, w, stride, ext_h, ext_w):
     """Gradient w.r.t. conv2d's padded input: a col2im scatter (Cin*k*k column rows) or,
     at stride 1 with Cout < Cin, a full correlation with the flipped kernel (Cout*k*k)."""
@@ -398,7 +421,7 @@ def conv2d(x, w, b, stride=1, pad=0, pad_mode="zeros"):
     xp = _pad2d(x.data, pad, pad_mode)
     if stride == 1 and cout < cin:
         # narrow side, as in _conv_input_grad: Cout*k*k GEMM rows per sample, then the
-        # k*k shifted windows summed; dW's Cin*k*k columns are built in bwd, if at all
+        # k*k shifted windows summed; dW comes from shifted views of xp, no columns
         wt = w.data.transpose(0, 2, 3, 1).reshape(-1, cin)
         p = (wt @ xp.reshape(n, cin, -1)).reshape(n, cout, k, k, *xp.shape[2:])
         out, cols = _sum_windows(p, ho, wo), None
@@ -409,10 +432,11 @@ def conv2d(x, w, b, stride=1, pad=0, pad_mode="zeros"):
     out += b.data.reshape(1, cout, 1, 1)
 
     def bwd(g):
-        if w.requires_grad:
+        if w.requires_grad and cols is None:
+            w._accumulate(_narrow_weight_grad(g, xp, k))
+        elif w.requires_grad:
             g2 = g.transpose(1, 0, 2, 3).reshape(cout, -1)
-            c = _im2col(xp, k, 1) if cols is None else cols
-            w._accumulate((g2 @ c.T).reshape(w.data.shape))
+            w._accumulate((g2 @ cols.T).reshape(w.data.shape))
         if b.requires_grad:
             b._accumulate(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:

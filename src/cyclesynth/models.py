@@ -12,6 +12,8 @@ the checkpoint writer can treat every network uniformly.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from . import engine
@@ -57,6 +59,22 @@ class ParamGroup:
     def zero_grad(self):
         for t in self._tensors.values():
             t.grad = None
+
+    @contextlib.contextmanager
+    def frozen(self):
+        """No tensor of the group requires grad inside the block.
+
+        Ops read requires_grad when backward runs, so a backward inside the
+        block computes no gradient for these tensors while still passing
+        gradients through them to their inputs.
+        """
+        for t in self._tensors.values():
+            t.requires_grad = False
+        try:
+            yield
+        finally:
+            for t in self._tensors.values():
+                t.requires_grad = True
 
     def param_count(self):
         return sum(t.data.size for t in self._tensors.values())

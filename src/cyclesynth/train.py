@@ -195,14 +195,16 @@ def train_step_unpaired(i_mr, i_ct, nets, opts, pool_ct, pool_mr, cfg, lr,
     fake_mr = generator_forward(g_ct2mr, i_ct)
     rec_ct = generator_forward(g_mr2ct, fake_mr)
 
-    g_adv_ct = _check_finite("g_adv_ct", loss_gen_adv(discriminator_forward(d_ct, fake_ct)))
-    g_adv_mr = _check_finite("g_adv_mr", loss_gen_adv(discriminator_forward(d_mr, fake_mr)))
-    cyc = _check_finite("cycle", loss_cycle(i_mr, rec_mr, i_ct, rec_ct))
-    total_g = total_generator_loss(g_adv_ct, g_adv_mr, cyc, cfg.lam)
+    # the discriminators only score the fakes here: no weight gradients for them
+    with d_ct.frozen(), d_mr.frozen():
+        g_adv_ct = _check_finite("g_adv_ct", loss_gen_adv(discriminator_forward(d_ct, fake_ct)))
+        g_adv_mr = _check_finite("g_adv_mr", loss_gen_adv(discriminator_forward(d_mr, fake_mr)))
+        cyc = _check_finite("cycle", loss_cycle(i_mr, rec_mr, i_ct, rec_ct))
+        total_g = total_generator_loss(g_adv_ct, g_adv_mr, cyc, cfg.lam)
 
-    for net in nets.values():
-        net.zero_grad()
-    engine.backward(total_g)
+        for net in nets.values():
+            net.zero_grad()
+        engine.backward(total_g)
     adam_step(g_mr2ct, opts["g_mr2ct"], lr)
     adam_step(g_ct2mr, opts["g_ct2mr"], lr)
 
@@ -244,13 +246,14 @@ def train_step_paired(i_mr, i_ct_aligned, nets, opts, cfg, lr):
     g_mr2ct, d_ct = nets["g_mr2ct"], nets["d_ct"]
 
     fake_ct = generator_forward(g_mr2ct, i_mr)
-    score_fake = discriminator_forward(d_ct, fake_ct)
-    adv = _check_finite("g_adv_ct", loss_gen_adv(score_fake))
-    gen_loss = _check_finite("paired", loss_paired(fake_ct, i_ct_aligned, score_fake,
-                                                   mu=cfg.mu))
-    for net in nets.values():
-        net.zero_grad()
-    engine.backward(gen_loss)
+    with d_ct.frozen():
+        score_fake = discriminator_forward(d_ct, fake_ct)
+        adv = _check_finite("g_adv_ct", loss_gen_adv(score_fake))
+        gen_loss = _check_finite("paired", loss_paired(fake_ct, i_ct_aligned, score_fake,
+                                                       mu=cfg.mu))
+        for net in nets.values():
+            net.zero_grad()
+        engine.backward(gen_loss)
     adam_step(g_mr2ct, opts["g_mr2ct"], lr)
 
     d_ct.zero_grad()

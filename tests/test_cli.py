@@ -89,6 +89,13 @@ def test_phantom_rejects_bad_geometry(tmp_path):
     assert cli.main(["phantom", "--out", str(tmp_path), "--size", "30x32"]) == 2
 
 
+def test_phantom_rejects_zero_volumes(tmp_path, capsys):
+    out = tmp_path / "ph"
+    assert cli.main(["phantom", "--out", str(out), "--volumes", "0"]) == 2
+    assert "--volumes" in capsys.readouterr().err
+    assert not (out / "alignment.json").exists()
+
+
 # -- train ----------------------------------------------------------------
 
 
@@ -109,6 +116,16 @@ def test_train_artifacts(workspace):
 def test_train_missing_data_dir(tmp_path):
     assert cli.main(["train", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_train_rejects_non_positive_volume_limit(workspace, tmp_path, capsys, limit):
+    out = tmp_path / "o"
+    assert cli.main(["train", "--data", str(workspace / "data"), "--out", str(out),
+                     "--epochs-fixed", "0", "--epochs-decay", "0", "--width-f", "4",
+                     "--width-d", "4", "--limit-volumes", limit]) == 2
+    assert "--limit-volumes" in capsys.readouterr().err
+    assert not (out / "ckpt_epoch0.csyn").exists()
 
 
 def test_train_invalid_config(workspace, tmp_path):
@@ -244,7 +261,9 @@ def test_eval_single_files_comparative(workspace, capsys):
     ct0, ct1 = (str(workspace / "data" / f"ct_00{i}.svol") for i in (0, 1))
     assert cli.main(["eval", "--real", ct0, "--synth", ct0, "--synth-b", ct1,
                      "--mask-from", "compute"]) == 0
-    assert "+/- n/a" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "+/- n/a" in out
+    assert re.search(r"\nevaluated 2 volumes \(\d+\.\d volumes/s\)\n$", out)
 
 
 def test_eval_directory_without_finite_psnr(workspace, tmp_path, capsys):

@@ -151,6 +151,21 @@ class TestConv2d:
         np.testing.assert_allclose(out.data, explicit_conv2d(x, w, b, 1, 3, "reflect"),
                                    rtol=1e-5, atol=1e-4)
 
+    def test_narrow_backward_builds_no_input_columns(self, monkeypatch):
+        # the head in paired training: dW from shifted views of the padded input, and
+        # the input gradient's columns come from the Cout-channel output gradient
+        built = []
+        im2col = engine._im2col
+        monkeypatch.setattr(engine, "_im2col", lambda *a: built.append(a) or im2col(*a))
+        rng = np.random.default_rng(12)
+        x = T(rng.normal(size=(4, 16, 12, 12)), grad=True)
+        w = T(rng.normal(size=(1, 16, 7, 7)), grad=True)
+        out = conv2d(x, w, T(rng.normal(size=1), grad=True), stride=1, pad=3,
+                     pad_mode="reflect")
+        backward(engine.tmean(engine.square(out)))
+        assert x.grad is not None and w.grad is not None
+        assert built and all(a[0].shape[1] == w.shape[0] for a in built)  # Cout, never Cin
+
     @pytest.mark.parametrize("pad_mode", ["zeros", "reflect"])
     def test_reflect_pad_matches_manual(self, pad_mode):
         rng = np.random.default_rng(2)
@@ -305,16 +320,17 @@ class TestGradientOracle:
         gradcheck(build, [x, w, b], rng)
 
     @pytest.mark.parametrize("wrt", [pytest.param((0,), id="x"), pytest.param((1,), id="w")])
-    @pytest.mark.parametrize("pad,pad_mode,cin,k,size", [
-        pytest.param(3, "reflect", 4, 7, 8, id="head"),
-        pytest.param(1, "zeros", 8, 4, 5, id="c5"),
+    @pytest.mark.parametrize("pad,pad_mode,batch,cin,cout,k,size", [
+        pytest.param(3, "reflect", 2, 4, 1, 7, 8, id="head"),
+        pytest.param(1, "zeros", 2, 8, 1, 4, 5, id="c5"),
+        pytest.param(1, "zeros", 3, 5, 2, 3, 6, id="cout2-batch3"),
     ])
-    def test_narrow_conv2d_partial_grads(self, pad, pad_mode, cin, k, size, wrt):
-        # Cout < Cin at stride 1 builds the weight gradient's columns only when w needs them
+    def test_narrow_conv2d_partial_grads(self, pad, pad_mode, batch, cin, cout, k, size, wrt):
+        # Cout < Cin at stride 1: per-tap weight gradient, flipped-kernel input gradient
         rng = self._rng()
-        x = rng.normal(size=(2, cin, size, size)).astype(np.float32)
-        w = rng.normal(size=(1, cin, k, k)).astype(np.float32)
-        b = rng.normal(size=1).astype(np.float32)
+        x = rng.normal(size=(batch, cin, size, size)).astype(np.float32)
+        w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
+        b = rng.normal(size=cout).astype(np.float32)
         proj = rng.normal(size=1).astype(np.float32)
 
         def build(ts):
@@ -390,7 +406,7 @@ class TestDeterminism:
         self._assert_replays((1, 1, 8, 8), (2, 1, 3, 3), 1)
 
     def test_head_replay_is_bitwise_identical(self):
-        # the generator head's geometry: narrow forward, weight columns built in backward
+        # the generator head's geometry: narrow forward and per-tap weight gradient
         self._assert_replays((8, 4, 16, 16), (1, 4, 7, 7), 3)
 
     def test_tape_topological_order(self):

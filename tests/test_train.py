@@ -224,6 +224,29 @@ def test_discriminator_update_does_not_backprop_into_generator():
                for t in dis.tensors())
 
 
+@pytest.mark.parametrize("mode", ["unpaired_cycle", "paired_baseline"])
+def test_generator_backward_leaves_discriminators_without_grad(mode, monkeypatch):
+    cfg = tiny_config(mode=mode)
+    nets, opts, i_mr, i_ct = step_fixture(cfg)
+    seen = []
+    adam = train.adam_step
+
+    def checked_adam(group, state, lr):
+        if group.kind == "generator":
+            seen.append([t.grad for n, g in nets.items() if n.startswith("d_")
+                         for t in g.tensors()])
+        adam(group, state, lr)
+
+    monkeypatch.setattr(train, "adam_step", checked_adam)
+    if mode == "paired_baseline":
+        train.train_step_paired(i_mr, i_ct, nets, opts, cfg, 1e-3)
+    else:
+        run_one_step(cfg, 1e-3, nets, opts, i_mr, i_ct)
+    assert seen and all(g is None for grads in seen for g in grads)
+    assert all(t.requires_grad for g in nets.values() for t in g.tensors())
+    assert all(opts[n].t == 1 for n in nets)
+
+
 def test_paired_step_mu_zero_is_pure_adversarial():
     cfg = tiny_config(mode="paired_baseline", mu=0.0)
     nets = train.make_networks(cfg)
