@@ -56,7 +56,11 @@ def _utc_now():
 def cmd_phantom(args):
     if args.volumes < 1:
         raise ValueError(f"--volumes must be >= 1, got {args.volumes}")
+    if args.slices < 1:
+        raise ValueError(f"--slices must be >= 1, got {args.slices}")
     h, w = args.size
+    if h < 4 or w < 4:
+        raise ValueError(f"--size sides must be >= 4, got {h}x{w}")
     spec = data.PhantomSpec(n_volumes=args.volumes,
                             slices_per_volume=args.slices,
                             height=h, width=w,

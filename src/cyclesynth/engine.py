@@ -32,10 +32,6 @@ _DTYPE = np.float32
 _GRAD_ENABLED = True
 
 
-def default_dtype():
-    return _DTYPE
-
-
 @contextlib.contextmanager
 def precision(dtype):
     """Temporarily switch the dtype used for newly created tensors.
@@ -105,9 +101,6 @@ class Tensor:
     def detach(self):
         return Tensor._result(self.data, (), None)
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -136,30 +129,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, _wrap(-1.0))
-
-    def square(self):
-        return square(self)
-
-    def abs(self):
-        return absolute(self)
-
-    def tanh(self):
-        return tanh(self)
-
-    def relu(self):
-        return relu(self)
-
-    def leaky_relu(self, slope=0.2):
-        return leaky_relu(self, slope)
-
-    def sum(self):
-        return tsum(self)
-
-    def mean(self):
-        return tmean(self)
-
-    def backward(self):
-        backward(self)
 
 
 def _wrap(x):
@@ -309,31 +278,48 @@ def tmean(a):
 def _pad2d(x, pad, mode):
     if pad == 0:
         return x
-    spec = ((0, 0), (0, 0), (pad, pad), (pad, pad))
-    if mode == "zeros":
-        return np.pad(x, spec)
+    if mode not in ("zeros", "reflect"):
+        raise ValueError(f"unknown pad_mode {mode!r}")
+    h, w = x.shape[2:]
+    if mode == "reflect" and any(1 < n <= pad for n in (h, w)):
+        raise ShapeError(f"reflect pad {pad} needs each side of the {h}x{w} input above {pad} or 1")
+    xp = (np.zeros if mode == "zeros" else np.empty)(
+        x.shape[:2] + (h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
     if mode == "reflect":
-        return np.pad(x, spec, mode="reflect")
-    raise ValueError(f"unknown pad_mode {mode!r}")
+        # pad-t mirrors pad+t and pad+n-1+t mirrors pad+n-1-t (a side of length 1 repeats
+        # its edge, as np.pad does); columns go last, over the full height, for the corners
+        for v, n in ((xp, h), (xp.swapaxes(2, 3), w)):
+            edge = v[:, :, pad:pad + 1]
+            v[:, :, :pad] = edge if n == 1 else v[:, :, 2 * pad:pad:-1]
+            v[:, :, pad + n:] = edge if n == 1 else v[:, :, pad + n - 2:n - 2:-1]
+    return xp
 
 
 def _unpad2d_adjoint(g, pad, mode, out_h, out_w):
-    """Adjoint of _pad2d: fold padded-border gradients back onto the source."""
+    """Adjoint of _pad2d: fold padded-border gradients back onto the source.
+
+    g is a gradient the caller owns: the reflect fold adds into it in place, rows
+    first, then columns, and the result is a view of it.
+    """
     if pad == 0:
         return g
-    if mode == "zeros":
-        return g[:, :, pad:pad + out_h, pad:pad + out_w].copy()
-    # reflect, per axis: padded index p-k mirrors source k, p+n-1+k mirrors n-1-k
-    for axis, n in ((2, out_h), (3, out_w)):
-        g = np.moveaxis(g, axis, 0)
-        core = g[pad:pad + n].copy()
-        core[1:pad + 1] += g[pad - 1::-1]
-        core[n - 1 - pad:n - 1] += g[pad + n:2 * pad + n][::-1]
-        g = np.moveaxis(core, 0, axis)
-    return g
+    if mode == "reflect":
+        for v, n in ((g, out_h), (g.swapaxes(2, 3), out_w)):
+            if n == 1:
+                v[:, :, pad] += v[:, :, :pad].sum(axis=2) + v[:, :, pad + 1:].sum(axis=2)
+            else:
+                v[:, :, pad + 1:2 * pad + 1] += v[:, :, pad - 1::-1]
+                v[:, :, n - 1:pad + n - 1] += v[:, :, pad + n:2 * pad + n][:, :, ::-1]
+    return g[:, :, pad:pad + out_h, pad:pad + out_w]
 
 
-# -- convolution: both ops run on one im2col layout and plain GEMMs -----------
+# -- convolution: im2col columns for wide forwards, flat padded grids elsewhere --
+#
+# A flat grid lays an [N,C,Hq,Wq] array out channel-first as [C, N*Hq*Wq]. Moving
+# by tap (i,j) of a stride-1 kernel is then a shift of i*Wq + j along the flat axis,
+# so every per-tap sum or scatter is one contiguous 2-D slice; rows and samples
+# that wrap into the next only ever meet zeros or positions cropped away.
 
 
 def _im2col(xp, k, stride):
@@ -342,60 +328,74 @@ def _im2col(xp, k, stride):
     return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(xp.shape[1] * k * k, -1)
 
 
-def _col2im(cols, shape, k, stride, ho, wo):
-    """Adjoint of _im2col: scatter-add columns into a zero [N,C,H,W] array."""
-    n, c, h, wd = shape
-    cols = cols.reshape(c, k, k, n, ho, wo)
-    out = np.zeros((c, n, h, wd), dtype=cols.dtype)
+def _flat_grid(g, hq, wq):
+    """[N,C,Ho,Wo] in a zeroed flat [C, N*hq*wq] grid, and the index after its last entry."""
+    n, c, ho, wo = g.shape
+    gf = np.zeros((c, n, hq, wq), dtype=g.dtype)
+    gf[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
+    return gf.reshape(c, -1), (n - 1) * hq * wq + (ho - 1) * wq + wo
+
+
+def _sum_windows(p, wp, ho, wo):
+    """Narrow forward: sum tap (i,j)'s window of p [N,C,k,k,Hp*Wp], which starts
+    i*Wp + j along the flat axis, over span (Ho-1)*Wp + Wo; then crop to Ho x Wo."""
+    n, c, k = p.shape[:3]
+    span = (ho - 1) * wp + wo
+    out = np.zeros((n, c, ho * wp), dtype=p.dtype)
     for i in range(k):
         for j in range(k):
-            out[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols[:, i, j]
-    return out.transpose(1, 0, 2, 3)
-
-
-def _sum_windows(p, ho, wo):
-    """Adjoint of _col2im's scatter at stride 1: sum the k*k shifted windows of [N,C,k,k,Hp,Wp]."""
-    out = np.zeros(p.shape[:2] + (ho, wo), dtype=p.dtype)
-    for i in range(p.shape[2]):
-        for j in range(p.shape[3]):
-            out += p[:, :, i, j, i:i + ho, j:j + wo]
-    return out
+            out[:, :, :span] += p[:, :, i, j, i * wp + j:i * wp + j + span]
+    return np.ascontiguousarray(out.reshape(n, c, ho, wp)[:, :, :, :wo])
 
 
 def _narrow_weight_grad(g, xp, k):
     """conv2d's stride-1 weight gradient as k*k small GEMMs, no Cin*k*k columns.
 
-    Xf is the padded input flattened channel-first to [Cin, N*Hp*Wp] and Gf the
-    output gradient placed in the same grid, zero outside Ho x Wo. Output (n,y,x)
-    at flat position q reads input q + i*Wp + j through tap (i,j), so each tap is
-    Gf[:, :L] @ Xf[:, off:off+L].T on a shifted view; the zeros add nothing.
+    Xf is the padded input as a [Cin, N*Hp*Wp] flat grid and Gf the output gradient
+    in the same grid, so tap (i,j) is Gf[:, :L] @ Xf[:, off:off+L].T with
+    off = i*Wp + j, a shifted view; the zeros add nothing.
     """
-    n, cout, ho, wo = g.shape
     cin, hp, wp = xp.shape[1:]
     xf = xp.transpose(1, 0, 2, 3).reshape(cin, -1)
-    gf = np.zeros((cout, n, hp, wp), dtype=g.dtype)
-    gf[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
-    span = n * hp * wp - (k - 1) * (wp + 1)
-    gf = gf.reshape(cout, -1)[:, :span]
-    dw = np.empty((cout, cin, k, k), dtype=g.dtype)
+    gf, span = _flat_grid(g, hp, wp)
+    dw = np.empty((g.shape[1], cin, k, k), dtype=g.dtype)
     for i in range(k):
         for j in range(k):
-            off = i * wp + j
-            dw[:, :, i, j] = gf @ xf[:, off:off + span].T
+            dw[:, :, i, j] = gf[:, :span] @ xf[:, i * wp + j:i * wp + j + span].T
     return dw
 
 
 def _conv_input_grad(g, w, stride, ext_h, ext_w):
-    """Gradient w.r.t. conv2d's padded input: a col2im scatter (Cin*k*k column rows) or,
-    at stride 1 with Cout < Cin, a full correlation with the flipped kernel (Cout*k*k)."""
-    n, cout, ho, wo = g.shape
+    """Gradient w.r.t. conv2d's padded input, [N,Cin,ext_h,ext_w].
+
+    At stride 1 with Cout < Cin: a full correlation with the flipped kernel (Cout*k*k
+    column rows). Otherwise one GEMM, W^T @ Gf, with G in a flat grid of
+    Hq x Wq = ceil(ext/s) cells, cut after its last nonzero column. Tap (i,j) lands
+    in stride phase (i%s, j%s), the input rows i%s::s and columns j%s::s, shifted by
+    (i//s)*Wq + j//s, so each phase is a stride-1 scatter of contiguous slices.
+    """
+    n, cout = g.shape[:2]
     cin, k = w.shape[1], w.shape[2]
     if stride == 1 and cout < cin:
-        gp = np.pad(g, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
         wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-        return (wf @ _im2col(gp, k, 1)).reshape(cin, n, ext_h, ext_w).transpose(1, 0, 2, 3)
-    gcols = w.reshape(cout, -1).T @ g.transpose(1, 0, 2, 3).reshape(cout, -1)
-    return _col2im(gcols, (n, cin, ext_h, ext_w), k, stride, ho, wo)
+        cols = _im2col(_pad2d(g, k - 1, "zeros"), k, 1)
+        return (wf @ cols).reshape(cin, n, ext_h, ext_w).transpose(1, 0, 2, 3)
+    s = stride
+    hq, wq = -(-ext_h // s), -(-ext_w // s)
+    gf, last = _flat_grid(g, hq, wq)
+    p = (w.reshape(cout, -1).T @ gf[:, :last]).reshape(cin, k, k, last)
+    full = np.empty((cin, n, ext_h, ext_w), dtype=g.dtype)
+    grid = np.empty((cin, n * hq * wq), dtype=g.dtype)
+    for a in range(s):
+        for b in range(s):
+            grid.fill(0)
+            for i in range(a, k, s):
+                for j in range(b, k, s):
+                    off = i // s * wq + j // s
+                    grid[:, off:off + last] += p[:, i, j]
+            phase = full[:, :, a::s, b::s]
+            phase[...] = grid.reshape(cin, n, hq, wq)[:, :, :phase.shape[2], :phase.shape[3]]
+    return full.transpose(1, 0, 2, 3)
 
 
 def conv2d(x, w, b, stride=1, pad=0, pad_mode="zeros"):
@@ -423,8 +423,8 @@ def conv2d(x, w, b, stride=1, pad=0, pad_mode="zeros"):
         # narrow side, as in _conv_input_grad: Cout*k*k GEMM rows per sample, then the
         # k*k shifted windows summed; dW comes from shifted views of xp, no columns
         wt = w.data.transpose(0, 2, 3, 1).reshape(-1, cin)
-        p = (wt @ xp.reshape(n, cin, -1)).reshape(n, cout, k, k, *xp.shape[2:])
-        out, cols = _sum_windows(p, ho, wo), None
+        p = (wt @ xp.reshape(n, cin, -1)).reshape(n, cout, k, k, -1)
+        out, cols = _sum_windows(p, xp.shape[3], ho, wo), None
     else:
         cols, xp = _im2col(xp, k, stride), None
         out = (w.data.reshape(cout, -1) @ cols).reshape(cout, n, ho, wo)

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, artifacts, determinism."""
 
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -94,6 +95,18 @@ def test_phantom_rejects_zero_volumes(tmp_path, capsys):
     assert cli.main(["phantom", "--out", str(out), "--volumes", "0"]) == 2
     assert "--volumes" in capsys.readouterr().err
     assert not (out / "alignment.json").exists()
+
+
+@pytest.mark.parametrize("flags,flag", [
+    pytest.param(["--size", "0x0"], "--size", id="size-0x0"),
+    pytest.param(["--size", "64x0"], "--size", id="size-64x0"),
+    pytest.param(["--slices", "0"], "--slices", id="slices-0"),
+])
+def test_phantom_rejects_empty_geometry_before_writing(tmp_path, capsys, flags, flag):
+    out = tmp_path / "ph"
+    assert cli.main(["phantom", "--out", str(out)] + flags) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- train ----------------------------------------------------------------
@@ -339,7 +352,11 @@ def test_selfcheck_corrupt_op_fails(capsys):
 def test_thread_env_propagates():
     code = ("import os; os.environ['CYCLESYNTH_THREADS']='2'; "
             "import cyclesynth.cli; print(os.environ['OMP_NUM_THREADS'])")
+    # cli only fills in thread variables that are unset, so none may be inherited
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")}
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"

@@ -80,6 +80,100 @@ def explicit_conv2d(x, w, b, stride, pad, pad_mode):
     return out
 
 
+def explicit_conv_transpose2d(x, w, b, stride, pad, output_pad):
+    """float64 transposed conv: zero insertion, then explicit_conv2d with the flipped kernel."""
+    n, cin, h, wd = x.shape
+    k = w.shape[2]
+    lo, hi = k - 1 - pad, k - 1 - pad + output_pad
+    xd = np.zeros((n, cin, (h - 1) * stride + 1 + lo + hi, (wd - 1) * stride + 1 + lo + hi))
+    xd[:, :, lo:lo + (h - 1) * stride + 1:stride, lo:lo + (wd - 1) * stride + 1:stride] = x
+    return explicit_conv2d(xd, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), b, 1, 0, "zeros")
+
+
+# (op, stride, pad, pad_mode or output_pad, batch, Cin, Cout, k, H, W): the edges of
+# the flat padded grid behind every wide-side input gradient and conv_transpose2d
+FLAT_GRID_CASES = [
+    # odd, non-square input: the four stride phases have unequal lengths
+    pytest.param("conv", 2, 1, "zeros", 1, 2, 3, 4, 9, 7, id="s2-k4-odd-nonsquare"),
+    # k < s: three of the four phases receive no tap
+    pytest.param("conv", 2, 0, "zeros", 2, 3, 2, 1, 7, 6, id="s2-k1"),
+    # zero rows between samples in the flat grid, at both strides
+    pytest.param("conv", 1, 1, "zeros", 3, 2, 3, 3, 5, 6, id="batch3-s1"),
+    pytest.param("conv", 2, 1, "reflect", 3, 2, 3, 3, 6, 5, id="batch3-s2"),
+    # ext > (H-1)*s + k: the grid's last rows and columns get no tap
+    pytest.param("transpose", 2, 0, 1, 2, 3, 2, 3, 4, 5, id="transpose-pad0-outpad1"),
+    # reflect pad min(H,W)-1, the widest fold there is
+    pytest.param("conv", 1, 4, "reflect", 2, 2, 3, 3, 5, 8, id="reflect-pad-min-side"),
+    # Cout < Cin at stride 1: the narrow forward's flat window sum, non-square
+    pytest.param("conv", 1, 2, "reflect", 3, 4, 2, 5, 6, 9, id="narrow-batch3-nonsquare"),
+    # a side of length 1: reflect padding repeats the edge, as np.pad does
+    pytest.param("conv", 1, 1, "reflect", 2, 3, 3, 3, 1, 2, id="reflect-1x2-plane"),
+    pytest.param("conv", 1, 2, "reflect", 2, 4, 2, 3, 3, 1, id="narrow-reflect-3x1-plane"),
+]
+
+# [H, W] of the padded inputs, each taken with every pad from 1 to its shorter side
+# above 1 less one (to 3 when both sides are 1)
+PAD_SHAPES = [(6, 9), (1, 5), (4, 1), (1, 1)]
+
+
+def _case_op(op, stride, pad, mode):
+    if op == "conv":
+        return lambda x, w, b: conv2d(x, w, b, stride=stride, pad=pad, pad_mode=mode)
+    return lambda x, w, b: conv_transpose2d(x, w, b, stride=stride, pad=pad, output_pad=mode)
+
+
+class TestFlatGrid:
+    @pytest.mark.parametrize("op,stride,pad,mode,batch,cin,cout,k,h,wd", FLAT_GRID_CASES)
+    def test_forward_matches_explicit(self, op, stride, pad, mode, batch, cin, cout, k, h, wd):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(batch, cin, h, wd))
+        w = rng.normal(size=(cout, cin, k, k) if op == "conv" else (cin, cout, k, k))
+        b = rng.normal(size=cout)
+        with engine.precision(np.float64):
+            got = _case_op(op, stride, pad, mode)(Tensor(x), Tensor(w), Tensor(b)).data
+        want = (explicit_conv2d(x, w, b, stride, pad, mode) if op == "conv"
+                else explicit_conv_transpose2d(x, w, b, stride, pad, mode))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("op,stride,pad,mode,batch,cin,cout,k,h,wd", FLAT_GRID_CASES)
+    def test_grads(self, op, stride, pad, mode, batch, cin, cout, k, h, wd):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(batch, cin, h, wd)).astype(np.float32)
+        w = rng.normal(size=(cout, cin, k, k) if op == "conv" else (cin, cout, k, k))
+        b = rng.normal(size=cout).astype(np.float32)
+        fn = _case_op(op, stride, pad, mode)
+
+        def build(ts):
+            return engine.tmean(engine.square(fn(*ts)))
+
+        gradcheck(build, [x, w.astype(np.float32), b], rng, probes=40)
+
+    @pytest.mark.parametrize("h,wd", PAD_SHAPES)
+    @pytest.mark.parametrize("mode", ["zeros", "reflect"])
+    def test_pad_matches_numpy(self, mode, h, wd):
+        x = np.random.default_rng(23).normal(size=(2, 3, h, wd))
+        for pad in range(1, min([n for n in (h, wd) if n > 1], default=4)):
+            want = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                          mode="constant" if mode == "zeros" else "reflect")
+            assert np.array_equal(engine._pad2d(x, pad, mode), want), pad
+
+    @pytest.mark.parametrize("h,wd", PAD_SHAPES)
+    @pytest.mark.parametrize("mode", ["zeros", "reflect"])
+    def test_unpad_is_adjoint_of_pad(self, mode, h, wd):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(2, 3, h, wd))
+        for pad in range(1, min([n for n in (h, wd) if n > 1], default=4)):
+            g = rng.normal(size=(2, 3, h + 2 * pad, wd + 2 * pad))
+            lhs = np.sum(engine._pad2d(x, pad, mode) * g)
+            rhs = np.sum(x * engine._unpad2d_adjoint(g.copy(), pad, mode, h, wd))
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0), pad
+
+    def test_reflect_pad_beyond_input_rejected(self):
+        x = T(np.zeros((1, 1, 3, 5)))
+        with pytest.raises(engine.ShapeError, match="reflect pad 3"):
+            conv2d(x, T(np.zeros((1, 1, 3, 3))), T(np.zeros(1)), pad=3, pad_mode="reflect")
+
+
 class TestConv2d:
     def test_ones_kernel(self):
         x = T(np.ones((1, 1, 4, 4)))

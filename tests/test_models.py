@@ -89,6 +89,16 @@ class TestGeneratorForward:
         out = generator_forward(p, rand_image(rng, h, w, n=2))
         assert out.shape == (2, 1, h, w)
 
+    @pytest.mark.parametrize("h,w", [(4, 8), (8, 4)])
+    def test_thin_input_runs_under_no_grad(self, h, w):
+        # down2 leaves a 1x2 or 2x1 plane, whose length-1 side the residual convs'
+        # reflect pad 1 fills by repeating the edge
+        rng = np.random.default_rng(3)
+        p = init_params("generator", width=8, rng_seed=3)
+        with engine.no_grad():
+            out = generator_forward(p, rand_image(rng, h, w))
+        assert out.shape == (1, 1, h, w) and np.isfinite(out.data).all()
+
     def test_rejects_non_multiple_of_four(self):
         p = init_params("generator", width=8, rng_seed=0)
         with pytest.raises(engine.ShapeError):
