@@ -1,38 +1,19 @@
 """Binary checkpoint container for parameters, optimizer state and pool buffers.
 
-Layout: magic "CSYN1" + u32 little-endian manifest length + JSON manifest
-+ tightly packed little-endian float32 payload. The manifest carries an
-ordered entry list (name, shape, dtype, offset) plus a free-form JSON
-meta block for scalars like the epoch counter and the run config.
-Round-trips are bitwise exact.
+Layout: the framed container of `data` with magic "CSYN1": u32
+little-endian manifest length + JSON manifest + tightly packed
+little-endian float32 payload. The manifest carries an ordered entry list
+(name, shape, dtype, offset) plus a free-form JSON meta block for scalars
+like the epoch counter and the run config. Round-trips are bitwise exact.
 """
 
 from __future__ import annotations
 
-import json
-import struct
-
 import numpy as np
 
-from .data import write_atomic
+from .data import HeaderError, TruncatedError, read_framed, write_framed
 
 CKPT_MAGIC = b"CSYN1"
-
-
-class CheckpointError(Exception):
-    """Base class for checkpoint container problems."""
-
-
-class BadMagicError(CheckpointError):
-    pass
-
-
-class TruncatedError(CheckpointError):
-    pass
-
-
-class ManifestError(CheckpointError):
-    pass
 
 
 def write_checkpoint(path, arrays, meta=None):
@@ -50,29 +31,17 @@ def write_checkpoint(path, arrays, meta=None):
         chunks.append(arr.tobytes())
         offset += arr.nbytes
     manifest = {"meta": meta if meta is not None else {}, "entries": entries}
-    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    write_atomic(path, [CKPT_MAGIC, struct.pack("<I", len(blob)), blob] + chunks)
+    write_framed(path, CKPT_MAGIC, manifest, chunks)
 
 
 def read_checkpoint(path):
     """Return (arrays, meta); arrays is an ordered name -> float32 ndarray dict."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(CKPT_MAGIC) + 4:
-        raise TruncatedError(f"{path}: file shorter than the fixed prefix")
-    if raw[:len(CKPT_MAGIC)] != CKPT_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {raw[:len(CKPT_MAGIC)]!r}")
-    (mlen,) = struct.unpack_from("<I", raw, len(CKPT_MAGIC))
-    off = len(CKPT_MAGIC) + 4
-    if len(raw) < off + mlen:
-        raise TruncatedError(f"{path}: manifest length {mlen} exceeds file size")
+    manifest, raw, payload_off = read_framed(path, CKPT_MAGIC)
     try:
-        manifest = json.loads(raw[off:off + mlen].decode())
         meta = manifest["meta"]
         entries = manifest["entries"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
-        raise ManifestError(f"{path}: unreadable manifest: {e}") from e
-    payload_off = off + mlen
+    except (KeyError, TypeError) as e:
+        raise HeaderError(f"{path}: unreadable manifest: {e}") from e
 
     arrays = {}
     expect = 0
@@ -83,11 +52,11 @@ def read_checkpoint(path):
             dtype = ent["dtype"]
             eoff = int(ent["offset"])
         except (KeyError, TypeError, ValueError) as e:
-            raise ManifestError(f"{path}: malformed entry {ent!r}: {e}") from e
+            raise HeaderError(f"{path}: malformed entry {ent!r}: {e}") from e
         if dtype != "f32":
-            raise ManifestError(f"{path}: entry {name!r} has dtype {dtype!r}, only f32 is defined")
+            raise HeaderError(f"{path}: entry {name!r} has dtype {dtype!r}, only f32 is defined")
         if eoff != expect:
-            raise ManifestError(
+            raise HeaderError(
                 f"{path}: entry {name!r} offset {eoff} breaks tight packing (expected {expect})")
         nbytes = int(np.prod(shape, dtype=np.int64)) * 4
         if payload_off + eoff + nbytes > len(raw):
@@ -97,6 +66,6 @@ def read_checkpoint(path):
             offset=payload_off + eoff).reshape(shape).copy()
         expect += nbytes
     if payload_off + expect != len(raw):
-        raise ManifestError(
+        raise HeaderError(
             f"{path}: {len(raw) - payload_off - expect} trailing bytes beyond declared payload")
     return arrays, meta

@@ -25,7 +25,7 @@ if _threads:
 import numpy as np
 
 from . import __version__, data, engine, evalx, selfcheck, train
-from .checkpoint import CheckpointError, read_checkpoint
+from .checkpoint import read_checkpoint
 from .models import generator_forward, params_from_arrays
 
 
@@ -417,7 +417,7 @@ def main(argv=None):
     except (train.NumericError, ArithmeticError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, KeyError, CheckpointError, data.SvolError) as e:
+    except (OSError, ValueError, KeyError, data.ContainerError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -36,19 +36,19 @@ PAD_FRACTION_NUM = 30
 PAD_FRACTION_DEN = 256
 
 
-class SvolError(Exception):
-    """Base class for SVOL container problems."""
+class ContainerError(Exception):
+    """Base class for problems in a framed file (SVOL volumes, CSYN1 checkpoints)."""
 
 
-class BadMagicError(SvolError):
+class BadMagicError(ContainerError):
     pass
 
 
-class TruncatedError(SvolError):
+class TruncatedError(ContainerError):
     pass
 
 
-class HeaderMismatchError(SvolError):
+class HeaderError(ContainerError):
     pass
 
 
@@ -209,13 +209,8 @@ def augment(image, target, rng, pad_total=None):
     """
     if pad_total is None:
         pad_total = pad_margin(target)
-    image = np.asarray(image)
-    if image.ndim != 2:
-        raise ValueError(f"augment expects a 2D slice, got shape {image.shape}")
-    padded_size = target + pad_total
-    span = padded_size - target
-    oy = int(rng.integers(0, span + 1))
-    ox = int(rng.integers(0, span + 1))
+    oy = int(rng.integers(0, pad_total + 1))
+    ox = int(rng.integers(0, pad_total + 1))
     return pad_and_crop(image, target, oy, ox, pad_total)
 
 
@@ -349,7 +344,7 @@ def phantom_generate(spec, seed=0):
     return PhantomSet(mr=mr_vols, ct=ct_vols, shifts=shifts)
 
 
-# -- SVOL container -------------------------------------------------------
+# -- framed container: magic + u32 LE header length + JSON header + payload --
 
 
 def write_atomic(path, chunks):
@@ -370,6 +365,31 @@ def write_atomic(path, chunks):
         raise
 
 
+def write_framed(path, magic, header, payload):
+    """Atomically write magic, the compact sorted-key JSON header and payload chunks."""
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    write_atomic(path, [magic, struct.pack("<I", len(blob)), blob, *payload])
+
+
+def read_framed(path, magic):
+    """Check prefix, magic, header length and JSON; return (header, raw, payload_offset)."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    if len(raw) < len(magic) + 4:
+        raise TruncatedError(f"{path}: file shorter than the fixed prefix")
+    if raw[:len(magic)] != magic:
+        raise BadMagicError(f"{path}: bad magic {raw[:len(magic)]!r}")
+    (hlen,) = struct.unpack_from("<I", raw, len(magic))
+    off = len(magic) + 4
+    if len(raw) < off + hlen:
+        raise TruncatedError(f"{path}: header length {hlen} exceeds file size")
+    try:
+        header = json.loads(raw[off:off + hlen].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise HeaderError(f"{path}: unreadable header: {e}") from e
+    return header, raw, off + hlen
+
+
 def save_volume(volume, path):
     header = {
         "modality": volume.modality,
@@ -378,30 +398,14 @@ def save_volume(volume, path):
         "window": list(volume.window),
         "has_mask": volume.mask is not None,
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    chunks = [SVOL_MAGIC, struct.pack("<I", len(blob)), blob, volume.voxels.tobytes()]
+    payload = [volume.voxels.tobytes()]
     if volume.mask is not None:
-        chunks.append(volume.mask.astype(np.uint8).tobytes())
-    write_atomic(path, chunks)
+        payload.append(volume.mask.astype(np.uint8).tobytes())
+    write_framed(path, SVOL_MAGIC, header, payload)
 
 
 def load_volume(path):
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(SVOL_MAGIC) + 4:
-        raise TruncatedError(f"{path}: file shorter than the fixed prefix")
-    if raw[:len(SVOL_MAGIC)] != SVOL_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {raw[:len(SVOL_MAGIC)]!r}")
-    (hlen,) = struct.unpack_from("<I", raw, len(SVOL_MAGIC))
-    off = len(SVOL_MAGIC) + 4
-    if len(raw) < off + hlen:
-        raise TruncatedError(f"{path}: header length {hlen} exceeds file size")
-    try:
-        header = json.loads(raw[off:off + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise HeaderMismatchError(f"{path}: unreadable header: {e}") from e
-    off += hlen
-
+    header, raw, off = read_framed(path, SVOL_MAGIC)
     try:
         dims = tuple(int(d) for d in header["dims"])
         spacing = tuple(float(x) for x in header["spacing_mm"])
@@ -409,9 +413,9 @@ def load_volume(path):
         modality = header["modality"]
         has_mask = bool(header["has_mask"])
     except (KeyError, TypeError, ValueError) as e:
-        raise HeaderMismatchError(f"{path}: malformed header fields: {e}") from e
+        raise HeaderError(f"{path}: malformed header fields: {e}") from e
     if len(dims) != 3:
-        raise HeaderMismatchError(f"{path}: dims must have three entries, got {dims}")
+        raise HeaderError(f"{path}: dims must have three entries, got {dims}")
 
     nvox = int(np.prod(dims))
     expected = nvox * (2 if has_mask else 1)
@@ -419,7 +423,7 @@ def load_volume(path):
         raise TruncatedError(
             f"{path}: payload holds {len(raw) - off} bytes, header promises {expected}")
     if len(raw) - off > expected:
-        raise HeaderMismatchError(
+        raise HeaderError(
             f"{path}: {len(raw) - off - expected} trailing bytes beyond declared payload")
 
     voxels = np.frombuffer(raw, dtype=np.uint8, count=nvox, offset=off).reshape(dims)
@@ -431,4 +435,4 @@ def load_volume(path):
         return SliceVolume(modality=modality, dims=dims, spacing_mm=spacing,
                            window=window, voxels=voxels.copy(), mask=mask)
     except ValueError as e:
-        raise HeaderMismatchError(f"{path}: {e}") from e
+        raise HeaderError(f"{path}: {e}") from e

@@ -103,8 +103,11 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a C-order copy: one g may go to two parents or be a view of a caller's
+            # buffer, and keeping a transposed g's layout would change later sum orders
+            self.grad = np.array(g, dtype=self.data.dtype, order="C")
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -532,34 +535,28 @@ def instance_norm(x, gamma, beta, eps=1e-5):
 # -- backward pass ------------------------------------------------------------
 
 
-class Tape:
-    """Reverse-topological record of the graph reachable from one root.
+def _topo_order(root):
+    """Nodes reachable from root with every node after its parents.
 
-    Node order is the deterministic depth-first discovery order, so two
+    The order is the deterministic depth-first discovery order, so two
     identical forward passes replay gradients identically.
     """
-
-    def __init__(self, nodes):
-        self.nodes = nodes
-
-    @staticmethod
-    def trace(root):
-        nodes = []
-        visited = set()
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                nodes.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited and parent._backward is not None:
-                    stack.append((parent, False))
-        return Tape(nodes)
+    nodes = []
+    visited = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            nodes.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited and parent._backward is not None:
+                stack.append((parent, False))
+    return nodes
 
 
 def backward(loss):
@@ -568,8 +565,7 @@ def backward(loss):
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
-    tape = Tape.trace(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
+    for node in reversed(_topo_order(loss)):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)

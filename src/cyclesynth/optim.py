@@ -22,9 +22,6 @@ class MissingGradError(RuntimeError):
 
 @dataclass
 class AdamState:
-    beta1: float = BETA1
-    beta2: float = BETA2
-    eps: float = EPS
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -34,9 +31,8 @@ def adam_step(params, state, lr):
     """One bias-corrected Adam update over every tensor in a ParamGroup."""
     state.t += 1
     t = state.t
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -46,11 +42,11 @@ def adam_step(params, state, lr):
             m = state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.data -= (lr / c1) * m / (np.sqrt(v / c2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data -= (lr / c1) * m / (np.sqrt(v / c2) + EPS)
 
 
 @dataclass

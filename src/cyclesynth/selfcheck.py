@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import tempfile
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,18 +63,13 @@ def corrupted_op(name):
 # -- finite-difference machinery ------------------------------------------
 
 
-def _fd_gradcheck(build_loss, arrays, rng, probes=20, h=1e-3, tol=1e-2):
-    """Max FD-vs-analytic deviation over random probes, normalized by the
-    largest gradient magnitude seen; raises CheckFailure beyond tol."""
-    tensors = [engine.Tensor(a, requires_grad=True) for a in arrays]
-    loss = build_loss(tensors)
-    engine.backward(loss)
-    grads = [t.grad.copy() for t in tensors]
+def _probe(arrays, grads, loss_value, rng, probes, h, tol, what="relative error"):
+    """Central differences at `probes` random flat indices across `arrays`.
 
-    def value(plain):
-        with engine.no_grad():
-            return build_loss([engine.Tensor(a) for a in plain]).item()
-
+    Each probe bumps one element to orig +/- h in place, calls loss_value(),
+    and restores it. Returns the max FD-vs-analytic deviation, normalized by
+    the largest gradient magnitude seen; raises CheckFailure beyond tol.
+    """
     sizes = [a.size for a in arrays]
     total = sum(sizes)
     analytic, numeric = [], []
@@ -84,20 +79,34 @@ def _fd_gradcheck(build_loss, arrays, rng, probes=20, h=1e-3, tol=1e-2):
         while pick >= sizes[ti]:
             pick -= sizes[ti]
             ti += 1
+        a = arrays[ti]
         analytic.append(float(grads[ti].flat[pick]))
-        bumped = [a.copy() for a in arrays]
-        bumped[ti].flat[pick] += h
-        hi = value(bumped)
-        bumped[ti].flat[pick] -= 2 * h
-        lo = value(bumped)
+        orig = a.flat[pick]
+        a.flat[pick] = orig + h
+        hi = loss_value()
+        a.flat[pick] = orig - h
+        lo = loss_value()
+        a.flat[pick] = orig
         numeric.append((hi - lo) / (2 * h))
     analytic = np.asarray(analytic)
     numeric = np.asarray(numeric)
     scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-8)
     err = float(np.abs(analytic - numeric).max() / scale)
     if err > tol:
-        raise CheckFailure(f"relative error {err:.3e} > {tol:.1e}")
+        raise CheckFailure(f"{what} {err:.3e} > {tol:.1e}")
     return err
+
+
+def _fd_gradcheck(build_loss, arrays, rng, probes=20, h=1e-3, tol=1e-2):
+    """Op-level finite-difference check of build_loss's gradient (see _probe)."""
+    tensors = [engine.Tensor(a, requires_grad=True) for a in arrays]
+    engine.backward(build_loss(tensors))
+
+    def loss_value():
+        with engine.no_grad():
+            return build_loss([engine.Tensor(a) for a in arrays]).item()
+
+    return _probe(arrays, [t.grad for t in tensors], loss_value, rng, probes, h, tol)
 
 
 def _away_from_zero(rng, shape, low=0.2, high=1.0):
@@ -182,32 +191,8 @@ def network_gradcheck(kind, size=None, width=8, probes=24, h=1e-6, tol=1e-2,
                 return engine.tsum(fwd(group, x) * proj).item()
 
         engine.backward(engine.tsum(fwd(group, x) * proj))
-        grads = {n: group[n].grad.copy() for n in names}
-        sizes = [group[n].data.size for n in names]
-        total = sum(sizes)
-        analytic, numeric = [], []
-        for _ in range(probes):
-            pick = int(rng.integers(total))
-            ti = 0
-            while pick >= sizes[ti]:
-                pick -= sizes[ti]
-                ti += 1
-            nm = names[ti]
-            analytic.append(float(grads[nm].flat[pick]))
-            orig = group[nm].data.flat[pick]
-            group[nm].data.flat[pick] = orig + h
-            hi = loss_value()
-            group[nm].data.flat[pick] = orig - h
-            lo = loss_value()
-            group[nm].data.flat[pick] = orig
-            numeric.append((hi - lo) / (2 * h))
-    analytic = np.asarray(analytic)
-    numeric = np.asarray(numeric)
-    scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-8)
-    err = float(np.abs(analytic - numeric).max() / scale)
-    if err > tol:
-        raise CheckFailure(f"{kind} relative error {err:.3e} > {tol:.1e}")
-    return err
+        return _probe([group[n].data for n in names], [group[n].grad for n in names],
+                      loss_value, rng, probes, h, tol, f"{kind} relative error")
 
 
 # -- non-gradient checks --------------------------------------------------
@@ -304,10 +289,7 @@ def run_all(corrupt_op=None, probes=20, report=None):
                 line += f"  ({detail})"
             report(line)
 
-    hook = corrupted_op(corrupt_op) if corrupt_op else None
-    if hook is not None:
-        hook.__enter__()
-    try:
+    with corrupted_op(corrupt_op) if corrupt_op else nullcontext():
         for i, (name, build, arrays) in enumerate(op_gradient_checks()):
             rng = np.random.default_rng(1000 + i)
             run(f"grad/{name}",
@@ -316,9 +298,6 @@ def run_all(corrupt_op=None, probes=20, report=None):
             lambda: f"err {network_gradcheck('generator', probes=probes):.1e}")
         run("grad/discriminator",
             lambda: f"err {network_gradcheck('discriminator', probes=probes):.1e}")
-    finally:
-        if hook is not None:
-            hook.__exit__(None, None, None)
 
     run("arch/receptive_field", check_receptive_field)
     run("arch/shapes", check_shapes)

@@ -37,13 +37,13 @@ from .optim import AdamState, LrSchedule, adam_step, lr_at
 
 MODES = ("unpaired_cycle", "paired_baseline")
 
-# fixed stream tags: [seed, NET_TAG, k] for init, [seed, epoch, k] per epoch
+# stream tables, the index is the tag: network k draws its init from
+# [seed, 101, k] (checkpoint order; paired mode builds the first two) and
+# epoch stream k from [seed, epoch, k], counting from 1
+_NETS = (("g_mr2ct", "generator"), ("d_ct", "discriminator"),
+         ("g_ct2mr", "generator"), ("d_mr", "discriminator"))
 _INIT_TAG = 101
-_EPOCH_ORDER_MR = 1
-_EPOCH_ORDER_CT = 2
-_EPOCH_AUGMENT = 3
-_EPOCH_POOL_CT = 4
-_EPOCH_POOL_MR = 5
+_EPOCH_STREAMS = ("order_mr", "order_ct", "augment", "pool_ct", "pool_mr")
 
 
 class NumericError(RuntimeError):
@@ -65,8 +65,6 @@ class TrainConfig:
     width_f: int = 64
     width_d: int = 64
     crop_size: int | None = None
-    pad_total: int | None = None
-    forbid_same_index: bool = True
     checkpoint_every: int = 25
 
     def validate(self):
@@ -89,8 +87,6 @@ class TrainConfig:
             problems.append("network widths must be >= 1")
         if self.crop_size is not None and (self.crop_size < 4 or self.crop_size % 4):
             problems.append("crop_size must be a positive multiple of 4")
-        if self.pad_total is not None and self.pad_total < 0:
-            problems.append("pad_total must be >= 0")
         if self.checkpoint_every < 1:
             problems.append("checkpoint_every must be >= 1")
         if problems:
@@ -155,21 +151,14 @@ class ImagePool:
         self.images = [np.asarray(img, dtype=np.float32).copy() for img in images]
 
 
-def _seed_int(*parts):
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
-
-
 def make_networks(cfg):
     """Freshly initialized ParamGroups for the configured mode."""
-    nets = {"g_mr2ct": init_params("generator", cfg.width_f,
-                                   _seed_int(cfg.seed, _INIT_TAG, 0)),
-            "d_ct": init_params("discriminator", cfg.width_d,
-                                _seed_int(cfg.seed, _INIT_TAG, 1))}
-    if cfg.mode == "unpaired_cycle":
-        nets["g_ct2mr"] = init_params("generator", cfg.width_f,
-                                      _seed_int(cfg.seed, _INIT_TAG, 2))
-        nets["d_mr"] = init_params("discriminator", cfg.width_d,
-                                   _seed_int(cfg.seed, _INIT_TAG, 3))
+    nets = {}
+    count = 4 if cfg.mode == "unpaired_cycle" else 2
+    for k, (name, kind) in enumerate(_NETS[:count]):
+        seed = np.random.SeedSequence([cfg.seed, _INIT_TAG, k]).generate_state(1)[0]
+        width = cfg.width_f if kind == "generator" else cfg.width_d
+        nets[name] = init_params(kind, width, int(seed))
     return nets
 
 
@@ -311,19 +300,19 @@ def _crop_plan(volumes, cfg):
     return h
 
 
-def _batch_tensor(vols, seq, crop, pad_total, rng):
+def _batch_tensor(vols, seq, crop, rng):
     planes = []
     for vi, si in seq:
-        sl = augment(vols[vi].voxels[si], crop, rng, pad_total=pad_total)
+        sl = augment(vols[vi].voxels[si], crop, rng)
         planes.append(to_model_range(sl))
     return Tensor(np.stack(planes)[:, None, :, :])
 
 
-def _paired_batch(mr_vols, ct_vols, seq, crop, pad_total, rng):
+def _paired_batch(mr_vols, ct_vols, seq, crop, rng):
     """Identical pad-and-crop offsets on both sides of each aligned pair."""
     mr_planes, ct_planes = [], []
+    total = pad_margin(crop)
     for vi, si in seq:
-        total = pad_margin(crop) if pad_total is None else pad_total
         oy = int(rng.integers(0, total + 1))
         ox = int(rng.integers(0, total + 1))
         mr_planes.append(to_model_range(
@@ -447,41 +436,31 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
     try:
         for epoch in range(start_epoch, total):
             lr = lr_at(epoch, schedule)
-            rng_mr = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, epoch, _EPOCH_ORDER_MR]))
-            rng_ct = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, epoch, _EPOCH_ORDER_CT]))
-            rng_aug = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, epoch, _EPOCH_AUGMENT]))
-            rng_pool_ct = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, epoch, _EPOCH_POOL_CT]))
-            rng_pool_mr = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, epoch, _EPOCH_POOL_MR]))
+            rng = {name: np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch, k]))
+                   for k, name in enumerate(_EPOCH_STREAMS, 1)}
 
             if cfg.mode == "unpaired_cycle":
                 length = max(len(mr_index), len(ct_index))
-                mr_seq = _epoch_order(mr_index, length, rng_mr)
-                ct_seq = _epoch_order(ct_index, length, rng_ct)
-                if cfg.forbid_same_index and len(mr_vols) > 1 and len(ct_vols) > 1:
+                mr_seq = _epoch_order(mr_index, length, rng["order_mr"])
+                ct_seq = _epoch_order(ct_index, length, rng["order_ct"])
+                if len(mr_vols) > 1 and len(ct_vols) > 1:
                     ct_seq = _fix_same_volume_pairs(mr_seq, ct_seq)
             else:
                 length = len(mr_index)
-                mr_seq = _epoch_order(mr_index, length, rng_mr)
+                mr_seq = _epoch_order(mr_index, length, rng["order_mr"])
                 ct_seq = mr_seq  # aligned pairing by construction
 
             for it, k in enumerate(range(0, length, cfg.batch_size)):
                 part = slice(k, min(k + cfg.batch_size, length))
                 if cfg.mode == "unpaired_cycle":
-                    i_mr = _batch_tensor(mr_vols, mr_seq[part], crop,
-                                         cfg.pad_total, rng_aug)
-                    i_ct = _batch_tensor(ct_vols, ct_seq[part], crop,
-                                         cfg.pad_total, rng_aug)
+                    i_mr = _batch_tensor(mr_vols, mr_seq[part], crop, rng["augment"])
+                    i_ct = _batch_tensor(ct_vols, ct_seq[part], crop, rng["augment"])
                     b = train_step_unpaired(i_mr, i_ct, nets, opts,
                                             pools["ct"], pools["mr"], cfg, lr,
-                                            rng_pool_ct, rng_pool_mr)
+                                            rng["pool_ct"], rng["pool_mr"])
                 else:
                     i_mr, i_ct = _paired_batch(mr_vols, ct_vols, mr_seq[part],
-                                               crop, cfg.pad_total, rng_aug)
+                                               crop, rng["augment"])
                     b = train_step_paired(i_mr, i_ct, nets, opts, cfg, lr)
                 log.writerow([epoch, it, f"{lr:.8g}",
                               f"{b.d_ct:.6g}", f"{b.d_mr:.6g}",

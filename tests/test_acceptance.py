@@ -17,6 +17,8 @@ import pytest
 from cyclesynth import cli, data, evalx, losses, models, optim, selfcheck, train
 from cyclesynth.engine import Tensor
 
+pytestmark = pytest.mark.acceptance
+
 # frozen per-volume metrics consumed by the aggregation oracle
 MAE_UNPAIRED = [70.3, 76.2, 75.5, 75.2, 72.0, 73.0]
 MAE_PAIRED = [86.2, 98.8, 96.9, 86.0, 81.7, 87.0]

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from cyclesynth import checkpoint
+from cyclesynth import data
 from cyclesynth.checkpoint import read_checkpoint, write_checkpoint
 from cyclesynth.models import init_params
 from cyclesynth.optim import AdamState, adam_step
@@ -82,25 +82,25 @@ class TestCorruption:
         raw = bytearray(path.read_bytes())
         raw[0] = ord("X")
         path.write_bytes(bytes(raw))
-        with pytest.raises(checkpoint.BadMagicError, match="bad magic"):
+        with pytest.raises(data.BadMagicError, match="bad magic"):
             read_checkpoint(path)
 
     def test_truncated_payload(self, tmp_path):
         path = self.write_one(tmp_path)
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(checkpoint.TruncatedError):
+        with pytest.raises(data.TruncatedError):
             read_checkpoint(path)
 
     def test_truncated_manifest(self, tmp_path):
         path = tmp_path / "c.csyn"
         path.write_bytes(b"CSYN1" + (9999).to_bytes(4, "little") + b"{}")
-        with pytest.raises(checkpoint.TruncatedError):
+        with pytest.raises(data.TruncatedError):
             read_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
         path = self.write_one(tmp_path)
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
-        with pytest.raises(checkpoint.ManifestError):
+        with pytest.raises(data.HeaderError):
             read_checkpoint(path)
 
     def test_non_f32_dtype_rejected(self, tmp_path):
@@ -109,7 +109,7 @@ class TestCorruption:
         raw = raw.replace(b'"dtype":"f32"', b'"dtype":"f64"', 1)
         # keep manifest length valid: f32 and f64 have equal byte length
         path.write_bytes(raw)
-        with pytest.raises(checkpoint.ManifestError):
+        with pytest.raises(data.HeaderError):
             read_checkpoint(path)
 
     def test_empty_checkpoint_is_legal(self, tmp_path):

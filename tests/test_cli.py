@@ -184,6 +184,39 @@ def test_train_resume_rejects_other_seed(workspace, tmp_path, capsys):
     assert "resume config mismatch on seed" in capsys.readouterr().err
 
 
+# -- damaged containers ---------------------------------------------------
+
+
+def _damaged_argv(workspace, tmp_path, case):
+    ckpt = workspace / "run" / "ckpt_epoch1.csyn"
+    mr = workspace / "data" / "mr_000.svol"
+    ct = workspace / "data" / "ct_000.svol"
+    if case == "truncated_csyn_to_infer":
+        cut = tmp_path / "cut.csyn"
+        cut.write_bytes(ckpt.read_bytes()[:ckpt.stat().st_size // 2])
+        return ["infer", "--ckpt", str(cut), "--in", str(mr),
+                "--direction", "mr2ct", "--out", str(tmp_path / "x.svol")]
+    if case == "bad_magic_svol_to_eval":
+        bad = tmp_path / "bad.svol"
+        bad.write_bytes(b"XVOL1" + ct.read_bytes()[5:])
+        return ["eval", "--real", str(bad), "--synth", str(ct), "--mask-from", "compute"]
+    return ["train", "--data", str(workspace / "data"), "--out", str(tmp_path / "r"),
+            "--epochs-fixed", "2", "--epochs-decay", "0", "--width-f", "4",
+            "--width-d", "4", "--seed", "3", "--resume", str(mr)]
+
+
+@pytest.mark.parametrize("case,message", [
+    ("truncated_csyn_to_infer", "past end of file"),
+    ("bad_magic_svol_to_eval", "bad magic b'XVOL1'"),
+    ("svol_as_train_resume", "bad magic b'SVOL1'"),
+])
+def test_damaged_container_exits_2(workspace, tmp_path, capsys, case, message):
+    assert cli.main(_damaged_argv(workspace, tmp_path, case)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert message in err and "Traceback" not in err
+
+
 # -- infer ----------------------------------------------------------------
 
 

@@ -322,20 +322,20 @@ class TestSvolRoundTrip:
         path = tmp_path / "v.svol"
         save_volume(self.make_vol(False), path)
         path.write_bytes(path.read_bytes() + b"xx")
-        with pytest.raises(data.HeaderMismatchError):
+        with pytest.raises(data.HeaderError):
             load_volume(path)
 
     def test_corrupt_header_json(self, tmp_path):
         path = tmp_path / "v.svol"
         blob = b"not json!!"
         path.write_bytes(b"SVOL1" + len(blob).to_bytes(4, "little") + blob)
-        with pytest.raises(data.HeaderMismatchError):
+        with pytest.raises(data.HeaderError):
             load_volume(path)
 
     def test_distinct_error_classes(self):
-        kinds = {data.BadMagicError, data.TruncatedError, data.HeaderMismatchError}
+        kinds = {data.BadMagicError, data.TruncatedError, data.HeaderError}
         assert len(kinds) == 3
-        assert all(issubclass(k, data.SvolError) for k in kinds)
+        assert all(issubclass(k, data.ContainerError) for k in kinds)
 
 
 class TestSliceVolumeValidation:

@@ -508,9 +508,9 @@ class TestDeterminism:
         y = engine.square(x)
         z = engine.mul(y, x)
         loss = engine.tsum(engine.add(z, y))
-        tape = engine.Tape.trace(loss)
-        pos = {id(n): i for i, n in enumerate(tape.nodes)}
-        for node in tape.nodes:
+        nodes = engine._topo_order(loss)
+        pos = {id(n): i for i, n in enumerate(nodes)}
+        for node in nodes:
             for parent in node._parents:
                 if id(parent) in pos:
                     assert pos[id(parent)] < pos[id(node)]

@@ -78,10 +78,9 @@ class TestAdamStep:
         assert abs(p["w"].data[0]) < 0.01
 
     def test_defaults(self):
-        st_ = AdamState()
-        assert st_.beta1 == 0.5
-        assert st_.beta2 == 0.999
-        assert st_.eps == 1e-8
+        assert optim.BETA1 == 0.5
+        assert optim.BETA2 == 0.999
+        assert optim.EPS == 1e-8
 
 
 class TestLrSchedule:

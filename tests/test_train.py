@@ -1,13 +1,17 @@
 """Training loop: config, pool, step mechanics, logging, checkpoint resume."""
 
 import csv
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclesynth import data, engine, train
-from cyclesynth.checkpoint import read_checkpoint
+from cyclesynth.checkpoint import read_checkpoint, write_checkpoint
 from cyclesynth.engine import Tensor
 from cyclesynth.losses import loss_dis
 from cyclesynth.models import discriminator_forward, generator_forward, init_params
@@ -298,7 +302,7 @@ def test_paired_batch_shares_crop_offsets():
     ct = [data.make_volume("CT", v[None])]
     rng = np.random.default_rng(0)
     for _ in range(8):
-        t_mr, t_ct = train._paired_batch(mr, ct, [(0, 0)], size, None, rng)
+        t_mr, t_ct = train._paired_batch(mr, ct, [(0, 0)], size, rng)
         assert np.array_equal(t_mr.data, t_ct.data)
 
 
@@ -445,6 +449,68 @@ def test_resume_log_matches_unbroken_run(tmp_path):
     train.run_training(mr, ct, cfg, again, resume_from=again / "ckpt_epoch1.csyn")
     assert ((again / "loss_log.csv").read_bytes()
             == (tmp_path / "straight" / "loss_log.csv").read_bytes())
+
+
+def lifecycle_config(mode):
+    # 3 epochs: lr flat for epoch 0, then decaying, so a split lands on either phase
+    return tiny_config(mode=mode, fixed_epochs=1, decay_epochs=2, image_pool_size=3)
+
+
+@pytest.fixture(scope="module")
+def unbroken_runs(tmp_path_factory):
+    mr, ct = volume_pair(n_vols=2, n_slices=2)
+    out = {}
+    for mode in train.MODES:
+        out[mode] = tmp_path_factory.mktemp(mode)
+        train.run_training(mr, ct, lifecycle_config(mode), out[mode])
+    return out
+
+
+@pytest.mark.parametrize("mode", train.MODES)
+@settings(max_examples=3, deadline=None)
+@given(split=st.integers(1, 2))
+def test_resume_after_crash_equals_unbroken_run(unbroken_runs, mode, split):
+    mr, ct = volume_pair(n_vols=2, n_slices=2)
+    cfg = lifecycle_config(mode)
+    real_write = train.write_checkpoint
+
+    def write_then_crash(path, arrays, meta):
+        real_write(path, arrays, meta)
+        if Path(path).name == f"ckpt_epoch{split}.csyn":
+            raise RuntimeError("stopped after the split checkpoint")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        with mock.patch.object(train, "write_checkpoint", write_then_crash), \
+                pytest.raises(RuntimeError, match="stopped"):
+            train.run_training(mr, ct, cfg, out)
+        assert len(read_log(out / "loss_log.csv")) == 4 * split
+        train.run_training(mr, ct, cfg, out, resume_from=out / f"ckpt_epoch{split}.csyn")
+        want = unbroken_runs[mode]
+        got_arrays, _ = read_checkpoint(out / "ckpt_epoch3.csyn")
+        want_arrays, _ = read_checkpoint(want / "ckpt_epoch3.csyn")
+        assert list(got_arrays) == list(want_arrays)
+        for k in want_arrays:
+            assert got_arrays[k].tobytes() == want_arrays[k].tobytes(), f"{k} diverged"
+        assert ((out / "ckpt_epoch3.csyn").read_bytes()
+                == (want / "ckpt_epoch3.csyn").read_bytes())
+        assert (out / "loss_log.csv").read_bytes() == (want / "loss_log.csv").read_bytes()
+
+
+def test_resume_accepts_checkpoint_with_retired_config_keys(unbroken_runs, tmp_path):
+    # checkpoints written before pad_total and forbid_same_index left TrainConfig
+    mode = "unpaired_cycle"
+    arrays, meta = read_checkpoint(unbroken_runs[mode] / "ckpt_epoch1.csyn")
+    meta["config"].update(pad_total=None, forbid_same_index=True)
+    old = tmp_path / "old_epoch1.csyn"
+    write_checkpoint(old, arrays, meta)
+    mr, ct = volume_pair(n_vols=2, n_slices=2)
+    train.run_training(mr, ct, lifecycle_config(mode), tmp_path / "resumed", resume_from=old)
+    got, _ = read_checkpoint(tmp_path / "resumed" / "ckpt_epoch3.csyn")
+    want, _ = read_checkpoint(unbroken_runs[mode] / "ckpt_epoch3.csyn")
+    assert list(got) == list(want)
+    for k in want:
+        assert got[k].tobytes() == want[k].tobytes(), f"{k} diverged"
 
 
 @pytest.mark.parametrize("field,value", [("seed", 8), ("lam", 3.0), ("batch_size", 2)])
