@@ -241,8 +241,15 @@ def _rows_from_csv(path):
     """Fixture mode: id,mae,psnr or id,mae_a,psnr_a,mae_b,psnr_b with header."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
-        body = [r for r in reader if r]
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty CSV, expected a header row")
+        body = []
+        for r in filter(None, reader):
+            if len(r) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(r)} columns, "
+                                 f"expected {len(header)}")
+            body.append(r)
     def row(vals, i, j, rid):
         return evalx.EvalRow(id=rid, mae_hu=float(vals[i]),
                              psnr_db=float(vals[j]), n_voxels=0)
@@ -314,6 +321,8 @@ def cmd_eval(args):
 
 
 def cmd_selfcheck(args):
+    if args.probes < 1:
+        raise ValueError(f"--probes must be >= 1, got {args.probes}")
     results = selfcheck.run_all(corrupt_op=args.corrupt_op,
                                 probes=args.probes, report=print)
     failed = [r for r in results if not r.ok]

@@ -275,6 +275,26 @@ def tmean(a):
     return Tensor._result(data, (a,), bwd)
 
 
+# -- batch split ----------------------------------------------------------------
+
+
+def split_batch(a, n):
+    """Samples [:n] and [n:] of a batch as two tensors; their gradients land in those rows."""
+    if a.data.ndim == 0 or not 0 < n < len(a.data):
+        raise ShapeError(f"split_batch: cannot split shape {a.data.shape} at {n}")
+
+    def part(rows):
+        def bwd(g):
+            if a.requires_grad:
+                full = np.zeros_like(a.data)
+                full[rows] = g
+                a._accumulate(full)
+
+        return Tensor._result(a.data[rows], (a,), bwd)
+
+    return part(slice(None, n)), part(slice(n, None))
+
+
 # -- spatial padding ----------------------------------------------------------
 
 
@@ -340,15 +360,15 @@ def _flat_grid(g, hq, wq):
 
 
 def _sum_windows(p, wp, ho, wo):
-    """Narrow forward: sum tap (i,j)'s window of p [N,C,k,k,Hp*Wp], which starts
-    i*Wp + j along the flat axis, over span (Ho-1)*Wp + Wo; then crop to Ho x Wo."""
-    n, c, k = p.shape[:3]
+    """Narrow forward of one sample: sum tap (i,j)'s window of p [C,k,k,Hp*Wp], which
+    starts i*Wp + j along the flat axis, over span (Ho-1)*Wp + Wo; then crop to Ho x Wo."""
+    c, k = p.shape[:2]
     span = (ho - 1) * wp + wo
-    out = np.zeros((n, c, ho * wp), dtype=p.dtype)
+    out = np.zeros((c, ho * wp), dtype=p.dtype)
     for i in range(k):
         for j in range(k):
-            out[:, :, :span] += p[:, :, i, j, i * wp + j:i * wp + j + span]
-    return np.ascontiguousarray(out.reshape(n, c, ho, wp)[:, :, :, :wo])
+            out[:, :span] += p[:, i, j, i * wp + j:i * wp + j + span]
+    return out.reshape(c, ho, wp)[:, :, :wo]
 
 
 def _narrow_weight_grad(g, xp, k):
@@ -387,17 +407,20 @@ def _conv_input_grad(g, w, stride, ext_h, ext_w):
     hq, wq = -(-ext_h // s), -(-ext_w // s)
     gf, last = _flat_grid(g, hq, wq)
     p = (w.reshape(cout, -1).T @ gf[:, :last]).reshape(cin, k, k, last)
-    full = np.empty((cin, n, ext_h, ext_w), dtype=g.dtype)
-    grid = np.empty((cin, n * hq * wq), dtype=g.dtype)
+    grid = np.zeros((cin, n * hq * wq), dtype=g.dtype)
+    # at stride 1 the one phase's grid is the whole gradient, so it is returned as is
+    full = grid.reshape(cin, n, hq, wq) if s == 1 else np.empty((cin, n, ext_h, ext_w), g.dtype)
     for a in range(s):
         for b in range(s):
-            grid.fill(0)
+            if a or b:
+                grid.fill(0)
             for i in range(a, k, s):
                 for j in range(b, k, s):
                     off = i // s * wq + j // s
                     grid[:, off:off + last] += p[:, i, j]
-            phase = full[:, :, a::s, b::s]
-            phase[...] = grid.reshape(cin, n, hq, wq)[:, :, :phase.shape[2], :phase.shape[3]]
+            if s > 1:
+                phase = full[:, :, a::s, b::s]
+                phase[...] = grid.reshape(cin, n, hq, wq)[:, :, :phase.shape[2], :phase.shape[3]]
     return full.transpose(1, 0, 2, 3)
 
 
@@ -424,10 +447,13 @@ def conv2d(x, w, b, stride=1, pad=0, pad_mode="zeros"):
     xp = _pad2d(x.data, pad, pad_mode)
     if stride == 1 and cout < cin:
         # narrow side, as in _conv_input_grad: Cout*k*k GEMM rows per sample, then the
-        # k*k shifted windows summed; dW comes from shifted views of xp, no columns
+        # k*k shifted windows summed; dW comes from shifted views of xp, no columns.
+        # One sample at a time, so the largest buffer is one sample's P.
         wt = w.data.transpose(0, 2, 3, 1).reshape(-1, cin)
-        p = (wt @ xp.reshape(n, cin, -1)).reshape(n, cout, k, k, -1)
-        out, cols = _sum_windows(p, xp.shape[3], ho, wo), None
+        out, cols = np.empty((n, cout, ho, wo), dtype=xp.dtype), None
+        for si in range(n):
+            p = (wt @ xp[si].reshape(cin, -1)).reshape(cout, k, k, -1)
+            out[si] = _sum_windows(p, xp.shape[3], ho, wo)
     else:
         cols, xp = _im2col(xp, k, stride), None
         out = (w.data.reshape(cout, -1) @ cols).reshape(cout, n, ho, wo)
@@ -497,10 +523,15 @@ def conv_transpose2d(x, w, b, stride=1, pad=0, output_pad=0):
 # -- instance normalization ---------------------------------------------------
 
 
-def instance_norm(x, gamma, beta, eps=1e-5):
-    """Standardize each (sample, channel) plane, then apply a per-channel affine.
+def instance_norm(x, gamma, beta, eps=1e-5, slope=None):
+    """Standardize each (sample, channel) plane, apply a per-channel affine, then an
+    optional activation: slope None is none, 0 a ReLU, in (0, 1) a leaky ReLU.
 
-    Uses the biased 1/(H*W) variance estimator.
+    Uses the biased 1/(H*W) variance estimator. One tape node: the per-plane sums
+    are matrix-vector products over the [N*C, H*W] view, and the affine and the
+    activation run in place on the output. For the backward it keeps the centred
+    input, the per-plane 1/std and scale, and the output, whose sign is the
+    activation's mask (out > 0 exactly where its input is, for any slope >= 0).
     """
     if x.data.ndim != 4:
         raise ShapeError(f"instance_norm expects [N,C,H,W], got {x.data.shape}")
@@ -510,24 +541,43 @@ def instance_norm(x, gamma, beta, eps=1e-5):
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeError(
             f"instance_norm affine shapes {gamma.data.shape}/{beta.data.shape}, expected ({c},)")
+    if slope is not None and not 0.0 <= slope < 1.0:
+        raise ValueError(f"instance_norm slope must be None or in [0, 1), got {slope}")
     m = h * wd
-    mu = x.data.mean(axis=(2, 3), keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=(2, 3), keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv_std
-    out = xhat * gamma.data.reshape(1, c, 1, 1) + beta.data.reshape(1, c, 1, 1)
+    ones = np.ones(m, dtype=x.data.dtype)
+    x2 = x.data.reshape(n * c, m)
+    xc = x2 - (x2 @ ones * (1.0 / m))[:, None]
+    inv_std = 1.0 / np.sqrt(np.einsum("ij,ij->i", xc, xc) * (1.0 / m) + eps)
+    scale = (inv_std.reshape(n, c) * gamma.data).reshape(-1, 1)
+    keep = _GRAD_ENABLED and (x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    out = np.multiply(xc, scale, out=None if keep else xc).reshape(n, c, m)
+    out += beta.data[:, None]
+    if slope == 0.0:
+        np.maximum(out, 0.0, out=out)
+    elif slope is not None:
+        np.maximum(out, out * slope, out=out)
+    out = out.reshape(x.data.shape)
 
     def bwd(g):
+        g2 = gm = g.reshape(n * c, m)
+        if slope == 0.0:
+            gm = g2 * (out.reshape(n * c, m) > 0.0)
+        elif slope is not None:
+            gm = g2 * slope
+            np.copyto(gm, g2, where=out.reshape(n * c, m) > 0.0)
+        s1 = gm @ ones                                        # sum of g per plane
+        s2 = np.einsum("ij,ij->i", gm, xc) * inv_std          # sum of g * xhat
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=(0, 2, 3)))
+            beta._accumulate(s1.reshape(n, c).sum(axis=0))
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=(0, 2, 3)))
+            gamma._accumulate(s2.reshape(n, c).sum(axis=0))
         if x.requires_grad:
-            gh = g * gamma.data.reshape(1, c, 1, 1)
-            sum_gh = gh.sum(axis=(2, 3), keepdims=True)
-            sum_gh_xhat = (gh * xhat).sum(axis=(2, 3), keepdims=True)
-            x._accumulate((inv_std / m) * (m * gh - sum_gh - xhat * sum_gh_xhat))
+            # dx = a*g - b*xc - c per plane, with a = gamma/std
+            a = scale[:, 0]
+            dx = np.multiply(gm, scale, out=None if slope is None else gm)
+            dx -= xc * (a * inv_std * s2 * (1.0 / m))[:, None]
+            dx -= (a * s1 * (1.0 / m))[:, None]
+            x._accumulate(dx.reshape(x.data.shape))
 
     return Tensor._result(out, (x, gamma, beta), bwd)
 

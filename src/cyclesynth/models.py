@@ -154,17 +154,19 @@ def params_from_arrays(kind, width, arrays):
     return p
 
 
-def _conv_in_relu(p, name, x, stride, pad, pad_mode="zeros"):
+def _norm(p, name, y, slope):
+    return instance_norm(y, p[f"{name}.gamma"], p[f"{name}.beta"], eps=NORM_EPS, slope=slope)
+
+
+def _conv_norm(p, name, x, stride, pad, pad_mode="zeros", slope=0.0):
     y = conv2d(x, p[f"{name}.w"], p[f"{name}.b"], stride=stride, pad=pad, pad_mode=pad_mode)
-    y = instance_norm(y, p[f"{name}.gamma"], p[f"{name}.beta"], eps=NORM_EPS)
-    return engine.relu(y)
+    return _norm(p, name, y, slope)
 
 
 def _residual_block(p, name, x):
     # conv-norm-relu-conv-norm with additive skip, no activation afterwards
-    y = _conv_in_relu(p, f"{name}.c1", x, stride=1, pad=1, pad_mode="reflect")
-    y = conv2d(y, p[f"{name}.c2.w"], p[f"{name}.c2.b"], stride=1, pad=1, pad_mode="reflect")
-    y = instance_norm(y, p[f"{name}.c2.gamma"], p[f"{name}.c2.beta"], eps=NORM_EPS)
+    y = _conv_norm(p, f"{name}.c1", x, stride=1, pad=1, pad_mode="reflect")
+    y = _conv_norm(p, f"{name}.c2", y, stride=1, pad=1, pad_mode="reflect", slope=None)
     return engine.add(x, y)
 
 
@@ -175,15 +177,14 @@ def generator_forward(p, x):
     h, w = x.data.shape[2], x.data.shape[3]
     if h % 4 != 0 or w % 4 != 0:
         raise engine.ShapeError(f"generator needs H,W divisible by 4, got {h}x{w}")
-    y = _conv_in_relu(p, "stem", x, stride=1, pad=3, pad_mode="reflect")
-    y = _conv_in_relu(p, "down1", y, stride=2, pad=1)
-    y = _conv_in_relu(p, "down2", y, stride=2, pad=1)
+    y = _conv_norm(p, "stem", x, stride=1, pad=3, pad_mode="reflect")
+    y = _conv_norm(p, "down1", y, stride=2, pad=1)
+    y = _conv_norm(p, "down2", y, stride=2, pad=1)
     for i in range(1, RESIDUAL_BLOCKS + 1):
         y = _residual_block(p, f"res{i}", y)
     for name in ("up1", "up2"):
         y = conv_transpose2d(y, p[f"{name}.w"], p[f"{name}.b"], stride=2, pad=1, output_pad=1)
-        y = instance_norm(y, p[f"{name}.gamma"], p[f"{name}.beta"], eps=NORM_EPS)
-        y = engine.relu(y)
+        y = _norm(p, name, y, slope=0.0)
     y = conv2d(y, p["head.w"], p["head.b"], stride=1, pad=3, pad_mode="reflect")
     return engine.tanh(y)
 
@@ -214,9 +215,7 @@ def discriminator_forward(p, x):
     y = conv2d(x, p["c1.w"], p["c1.b"], stride=2, pad=1)
     y = engine.leaky_relu(y, LEAKY_SLOPE)
     for name, stride in (("c2", 2), ("c3", 2), ("c4", 1)):
-        y = conv2d(y, p[f"{name}.w"], p[f"{name}.b"], stride=stride, pad=1)
-        y = instance_norm(y, p[f"{name}.gamma"], p[f"{name}.beta"], eps=NORM_EPS)
-        y = engine.leaky_relu(y, LEAKY_SLOPE)
+        y = _conv_norm(p, name, y, stride=stride, pad=1, slope=LEAKY_SLOPE)
     return conv2d(y, p["c5.w"], p["c5.b"], stride=1, pad=1)
 
 

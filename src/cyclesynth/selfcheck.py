@@ -116,6 +116,17 @@ def _away_from_zero(rng, shape, low=0.2, high=1.0):
     return mag * sign
 
 
+def _kink_free_norm_inputs(rng, n, c, h, w):
+    """x, gamma, beta for a fused instance norm whose activation input stays away
+    from 0: each plane is +/-v pairs (mean 0, |xhat| >= 0.2), gamma in [0.5, 1.5]
+    and |beta| <= 0.05, so every pre-activation is at least 0.05 from the kink."""
+    half = _away_from_zero(rng, (n, c, h * w // 2))
+    x = rng.permuted(np.concatenate([half, -half], axis=2), axis=2).reshape(n, c, h, w)
+    gamma = rng.uniform(0.5, 1.5, c).astype(np.float32)
+    beta = rng.uniform(-0.05, 0.05, c).astype(np.float32)
+    return [x, gamma, beta]
+
+
 def _proj_loss(op):
     def build(tensors):
         out = op(*tensors[:-1])
@@ -159,6 +170,12 @@ def op_gradient_checks(rng_seed=0):
         ("instance_norm",
          _proj_loss(lambda x, g, b: engine.instance_norm(x, g, b)),
          [u(2, 3, 5, 5), u(3), u(3), u(2, 3, 5, 5)]),
+        ("instance_norm_relu",
+         _proj_loss(lambda x, g, b: engine.instance_norm(x, g, b, slope=0.0)),
+         _kink_free_norm_inputs(rng, 2, 3, 4, 4) + [u(2, 3, 4, 4)]),
+        ("instance_norm_leaky",
+         _proj_loss(lambda x, g, b: engine.instance_norm(x, g, b, slope=models.LEAKY_SLOPE)),
+         _kink_free_norm_inputs(rng, 2, 3, 4, 4) + [u(2, 3, 4, 4)]),
     ]
     return checks
 

@@ -172,6 +172,15 @@ def _check_finite(name, t):
     return t
 
 
+def _dis_loss(net, real, fake):
+    """loss_dis of one discriminator pass over real and fake stacked as one batch.
+
+    Instance norm is per sample, so each half scores as a pass of its own would.
+    """
+    score = discriminator_forward(net, Tensor(np.concatenate([real, fake])))
+    return loss_dis(*engine.split_batch(score, len(real)))
+
+
 def train_step_unpaired(i_mr, i_ct, nets, opts, pool_ct, pool_mr, cfg, lr,
                         pool_rng_ct, pool_rng_mr):
     """One generator update and two discriminator updates; returns the breakdown."""
@@ -198,23 +207,19 @@ def train_step_unpaired(i_mr, i_ct, nets, opts, pool_ct, pool_mr, cfg, lr,
     adam_step(g_ct2mr, opts["g_ct2mr"], lr)
 
     # discriminators train on detached fakes routed through the pools
-    fake_ct_d = fake_ct.detach().data
-    fake_mr_d = fake_mr.detach().data
+    fake_ct_d = fake_ct.data
+    fake_mr_d = fake_mr.data
     if cfg.use_pool:
         fake_ct_d = pool_ct.query(fake_ct_d, pool_rng_ct)
         fake_mr_d = pool_mr.query(fake_mr_d, pool_rng_mr)
 
     d_ct.zero_grad()
-    d_ct_loss = _check_finite("d_ct", loss_dis(
-        discriminator_forward(d_ct, i_ct.detach()),
-        discriminator_forward(d_ct, Tensor(fake_ct_d))))
+    d_ct_loss = _check_finite("d_ct", _dis_loss(d_ct, i_ct.data, fake_ct_d))
     engine.backward(d_ct_loss)
     adam_step(d_ct, opts["d_ct"], lr)
 
     d_mr.zero_grad()
-    d_mr_loss = _check_finite("d_mr", loss_dis(
-        discriminator_forward(d_mr, i_mr.detach()),
-        discriminator_forward(d_mr, Tensor(fake_mr_d))))
+    d_mr_loss = _check_finite("d_mr", _dis_loss(d_mr, i_mr.data, fake_mr_d))
     engine.backward(d_mr_loss)
     adam_step(d_mr, opts["d_mr"], lr)
 
@@ -246,9 +251,7 @@ def train_step_paired(i_mr, i_ct_aligned, nets, opts, cfg, lr):
     adam_step(g_mr2ct, opts["g_mr2ct"], lr)
 
     d_ct.zero_grad()
-    d_loss = _check_finite("d_ct", loss_dis(
-        discriminator_forward(d_ct, i_ct_aligned.detach()),
-        discriminator_forward(d_ct, fake_ct.detach())))
+    d_loss = _check_finite("d_ct", _dis_loss(d_ct, i_ct_aligned.data, fake_ct.data))
     engine.backward(d_loss)
     adam_step(d_ct, opts["d_ct"], lr)
 

@@ -350,6 +350,20 @@ def test_eval_table1_fixture(tmp_path, capsys):
     assert payload["a"]["aggregate"]["mean_mae"] == pytest.approx(73.7, abs=0.05)
 
 
+@pytest.mark.parametrize("text,fragment", [
+    pytest.param("", "empty", id="empty"),
+    pytest.param("id,mae,psnr\np0,70.3,31.1\np1,76.2\n", "line 3 has 2 columns", id="short-row"),
+    pytest.param("id,mae_a,psnr_a,mae_b,psnr_b\np0,70.3,31.1,86.2\n", "line 2 has 4 columns",
+                 id="short-row-5"),
+])
+def test_eval_bad_csv_exits_2(tmp_path, capsys, text, fragment):
+    csv_path = tmp_path / "fixture.csv"
+    csv_path.write_text(text)
+    assert cli.main(["eval", "--from-csv", str(csv_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and fragment in err
+
+
 def test_eval_error_map(workspace, tmp_path):
     ct = str(workspace / "data" / "ct_000.svol")
     emap = tmp_path / "err.svol"
@@ -380,6 +394,23 @@ def test_selfcheck_corrupt_op_fails(capsys):
     out = capsys.readouterr().out
     assert "[FAIL] grad/tanh" in out
     assert "first failing check: grad/tanh" in out
+
+
+def test_selfcheck_corrupt_instance_norm_fails(capsys):
+    # the fused norm + activation probes go through the same op and fail with it
+    assert cli.main(["selfcheck", "--probes", "8", "--corrupt-op", "instance_norm"]) == 3
+    out = capsys.readouterr().out
+    for name in ("instance_norm", "instance_norm_relu", "instance_norm_leaky"):
+        assert f"[FAIL] grad/{name}" in out
+    assert "first failing check: grad/instance_norm\n" in out
+
+
+@pytest.mark.parametrize("probes", ["0", "-3"])
+def test_selfcheck_probes_below_one_exits_2(capsys, probes):
+    assert cli.main(["selfcheck", "--probes", probes]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --probes must be >= 1, got {probes}\n"
+    assert "FAIL" not in captured.out
 
 
 def test_thread_env_propagates():

@@ -3,6 +3,7 @@ import pytest
 
 from cyclesynth import engine
 from cyclesynth.engine import Tensor, backward, conv2d, conv_transpose2d, instance_norm
+from cyclesynth.selfcheck import _kink_free_norm_inputs
 
 from helpers import gradcheck
 
@@ -332,6 +333,64 @@ class TestInstanceNorm:
             instance_norm(T(np.zeros((1, 1, 1, 1))), T(np.ones(1)), T(np.zeros(1)))
 
 
+    @pytest.mark.parametrize("slope", [0.0, 0.2])
+    def test_fused_matches_norm_then_activation_float64(self, slope):
+        rng = np.random.default_rng(11)
+        with engine.precision(np.float64):
+            x = rng.normal(size=(2, 3, 5, 4))
+            gamma = rng.normal(size=3)
+            beta = rng.normal(size=3)
+            proj = rng.normal(size=x.shape)
+
+            def run(fused):
+                ts = [T(a, grad=True) for a in (x, gamma, beta)]
+                if fused:
+                    y = instance_norm(*ts, slope=slope)
+                else:
+                    y = instance_norm(*ts)
+                    y = engine.relu(y) if slope == 0.0 else engine.leaky_relu(y, slope)
+                backward(engine.tsum(engine.mul(y, T(proj))))
+                return [y.data] + [t.grad for t in ts]
+
+            for got, want in zip(run(True), run(False)):
+                assert got.dtype == np.float64
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_no_grad_forward_matches_recorded(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(2, 4, 6, 6))
+        ts = [T(x, grad=True), T(rng.normal(size=4), grad=True), T(rng.normal(size=4), grad=True)]
+        with engine.no_grad():
+            plain = instance_norm(*ts, slope=0.2)
+        assert plain._backward is None
+        np.testing.assert_array_equal(plain.data, instance_norm(*ts, slope=0.2).data)
+
+    @pytest.mark.parametrize("slope", [-0.1, 1.0])
+    def test_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            instance_norm(T(np.zeros((1, 1, 2, 2))), T(np.ones(1)), T(np.zeros(1)), slope=slope)
+
+
+class TestSplitBatch:
+    def test_halves_and_grads(self):
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(5, 2, 3)).astype(np.float32)
+        proj = rng.normal(size=(2, 2, 3)).astype(np.float32)
+
+        def build(ts):
+            head, tail = engine.split_batch(ts[0], 2)
+            assert head.shape == (2, 2, 3) and tail.shape == (3, 2, 3)
+            return engine.add(engine.tsum(engine.mul(head, Tensor(proj))),
+                              engine.tmean(engine.square(tail)))
+
+        gradcheck(build, [a], rng)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_empty_half_rejected(self, n):
+        with pytest.raises(engine.ShapeError, match="split_batch"):
+            engine.split_batch(T(np.zeros((3, 1))), n)
+
+
 class TestBackward:
     def test_sum_of_squares(self):
         x = T([3.0], grad=True)
@@ -463,6 +522,20 @@ class TestGradientOracle:
             return engine.tmean(engine.square(instance_norm(ts[0], ts[1], ts[2])))
 
         gradcheck(build, [x, gamma, beta], rng)
+
+    @pytest.mark.parametrize("wrt", [pytest.param(None, id="all"), pytest.param((0,), id="x"),
+                                     pytest.param((1, 2), id="affine")])
+    @pytest.mark.parametrize("slope", [None, 0.0, 0.2])
+    def test_fused_instance_norm_grads(self, slope, wrt):
+        rng = self._rng()
+        x, gamma, beta = _kink_free_norm_inputs(rng, 2, 3, 4, 4)
+        proj = rng.normal(size=x.shape).astype(np.float32)
+
+        def build(ts):
+            y = instance_norm(ts[0], ts[1], ts[2], slope=slope)
+            return engine.tsum(engine.mul(y, Tensor(proj)))
+
+        gradcheck(build, [x, gamma, beta], rng, probes=30, wrt=wrt)
 
     def test_float64_mode_is_tight(self):
         rng = np.random.default_rng(7)

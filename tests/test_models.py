@@ -117,6 +117,23 @@ class TestGeneratorForward:
         assert np.isfinite(out.data).all()
 
 
+def recorded_ops(out):
+    """Op name of every node on the tape behind out, e.g. 'instance_norm'."""
+    return [n._backward.__qualname__.split(".")[0] for n in engine._topo_order(out)]
+
+
+def test_norm_sites_record_one_fused_node():
+    # every activation after a norm runs inside the instance_norm node
+    rng = np.random.default_rng(4)
+    ops = recorded_ops(generator_forward(init_params("generator", 4, rng_seed=4),
+                                         rand_image(rng, 16, 16)))
+    assert "relu" not in ops and "leaky_relu" not in ops
+    assert ops.count("instance_norm") == 2 * models.RESIDUAL_BLOCKS + 5
+    ops = recorded_ops(discriminator_forward(init_params("discriminator", 4, rng_seed=4),
+                                             rand_image(rng, 32, 32)))
+    assert ops.count("leaky_relu") == 1 and ops.count("instance_norm") == 3
+
+
 class TestDiscriminatorForward:
     def test_256_gives_30x30(self):
         rng = np.random.default_rng(3)
