@@ -9,6 +9,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -211,9 +212,12 @@ def _collect_pairs(real_path, synth_path):
     return pairs
 
 
-def _mask_for(real, synth, source):
+def _mask_for(seen, synth, source):
+    real = seen["volume"]
     if source == "compute":
-        return data.head_mask(real)
+        if "mask" not in seen:
+            seen["mask"] = data.head_mask(real)
+        return seen["mask"]
     vol = real if source == "real" else synth
     if vol.mask is None:
         raise ValueError(f"--mask-from {source}: volume carries no mask; "
@@ -221,17 +225,17 @@ def _mask_for(real, synth, source):
     return vol.mask
 
 
-def _eval_pairs(pairs, mask_from, mode):
+def _eval_pairs(pairs, mask_from, mode, reals):
+    """Score each pair. reals maps a real path to its loaded volume and
+    computed mask, so the runs of one command read and mask it once."""
     rows = []
     for vol_id, real_path, synth_path in pairs:
-        real = data.load_volume(real_path)
+        if real_path not in reals:
+            reals[real_path] = {"volume": data.load_volume(real_path)}
+        seen = reals[real_path]
         synth = data.load_volume(synth_path)
-        mask = _mask_for(real, synth, mask_from)
-        mae_v = evalx.mae(real, synth, mask)
-        try:
-            psnr_v = evalx.psnr(real, synth, mask, mode=mode)
-        except evalx.ZeroMseError:
-            psnr_v = None  # identical inside the mask; PSNR unbounded
+        mask = _mask_for(seen, synth, mask_from)
+        mae_v, psnr_v = evalx.score(seen["volume"], synth, mask, mode=mode)
         rows.append(evalx.EvalRow(id=vol_id, mae_hu=mae_v, psnr_db=psnr_v,
                                   n_voxels=int(np.count_nonzero(mask))))
     return evalx.build_report(rows, mode=mode)
@@ -244,21 +248,21 @@ def _rows_from_csv(path):
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty CSV, expected a header row")
+        if len(header) not in (3, 5):
+            raise ValueError(f"{path}: expected 3 or 5 columns, got {len(header)}")
         body = []
         for r in filter(None, reader):
             if len(r) != len(header):
                 raise ValueError(f"{path}: line {reader.line_num} has {len(r)} columns, "
                                  f"expected {len(header)}")
-            body.append(r)
-    def row(vals, i, j, rid):
-        return evalx.EvalRow(id=rid, mae_hu=float(vals[i]),
-                             psnr_db=float(vals[j]), n_voxels=0)
-    if len(header) == 3:
-        return [row(r, 1, 2, r[0]) for r in body], None
-    if len(header) == 5:
-        return ([row(r, 1, 2, r[0]) for r in body],
-                [row(r, 3, 4, r[0]) for r in body])
-    raise ValueError(f"{path}: expected 3 or 5 columns, got {len(header)}")
+            vals = [float(v) for v in r[1:]]
+            if not all(map(math.isfinite, vals)):
+                raise ValueError(f"{path}: line {reader.line_num} has a non-finite value")
+            body.append((r[0], vals))
+    def rows(i):
+        return [evalx.EvalRow(id=rid, mae_hu=vals[i], psnr_db=vals[i + 1], n_voxels=0)
+                for rid, vals in body]
+    return rows(0), (rows(2) if len(header) == 5 else None)
 
 
 def _ttest_lines(rows_a, rows_b):
@@ -280,10 +284,11 @@ def cmd_eval(args):
             raise ValueError("eval needs --real and --synth (or --from-csv)")
         pairs_a = _collect_pairs(args.real, args.synth)
         pairs_b = _collect_pairs(args.real, args.synth_b) if args.synth_b else []
+        reals = {}
         start = time.perf_counter()
-        report_a = _eval_pairs(pairs_a, args.mask_from, args.psnr_mode)
+        report_a = _eval_pairs(pairs_a, args.mask_from, args.psnr_mode, reals)
         if pairs_b:
-            report_b = _eval_pairs(pairs_b, args.mask_from, args.psnr_mode)
+            report_b = _eval_pairs(pairs_b, args.mask_from, args.psnr_mode, reals)
         scored = len(pairs_a) + len(pairs_b)
         rate = scored / (time.perf_counter() - start)
         rate_line = f"evaluated {scored} volumes ({rate:.1f} volumes/s)"
@@ -311,8 +316,8 @@ def cmd_eval(args):
     if args.error_map:
         if args.from_csv or not args.real:
             raise ValueError("--error-map needs volume inputs, not --from-csv")
-        vol_id, rp, sp = _collect_pairs(args.real, args.synth)[0]
-        emap = evalx.error_map(data.load_volume(rp), data.load_volume(sp))
+        _, rp, sp = pairs_a[0]
+        emap = evalx.error_map(reals[rp]["volume"], data.load_volume(sp))
         data.save_volume(emap, args.error_map)
     return 0
 

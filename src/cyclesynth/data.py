@@ -88,9 +88,7 @@ class SliceVolume:
         self.spacing_mm = tuple(float(s) for s in self.spacing_mm)
         if len(self.spacing_mm) != 3:
             raise ValueError("spacing_mm must have three entries")
-        lo, hi = self.window
-        if not lo < hi:
-            raise ValueError(f"window lo must be < hi, got ({lo}, {hi})")
+        lo, hi = window_bounds(self.window)
         self.window = (float(lo), float(hi))
         self.voxels = np.ascontiguousarray(self.voxels, dtype=np.uint8)
         if self.voxels.shape != self.dims:
@@ -116,21 +114,31 @@ def make_volume(modality, voxels, spacing_mm=(1.0, 1.0, 1.0), window=None, mask=
 # -- quantization ---------------------------------------------------------
 
 
+def window_bounds(window):
+    """(lo, hi) of a window, which must be ordered lo < hi."""
+    lo, hi = window
+    if not lo < hi:
+        raise ValueError(f"window lo must be < hi, got ({lo}, {hi})")
+    return lo, hi
+
+
 def quantize(v, window):
     """Map native-unit values into the 256 uniform levels of `window`."""
-    lo, hi = window
-    if lo >= hi:
-        raise ValueError(f"window lo must be < hi, got ({lo}, {hi})")
+    lo, hi = window_bounds(window)
     x = np.clip((np.asarray(v, dtype=np.float64) - lo) / (hi - lo), 0.0, 1.0)
     return np.rint(255.0 * x).astype(np.uint8)
 
 
 def dequantize(q, window):
     """Level midpoint back to native units (inverse of quantize up to half a level)."""
-    lo, hi = window
-    if lo >= hi:
-        raise ValueError(f"window lo must be < hi, got ({lo}, {hi})")
+    lo, hi = window_bounds(window)
     return lo + (np.asarray(q, dtype=np.float64) / 255.0) * (hi - lo)
+
+
+def level_table(window):
+    """float64 native value of each of the 256 levels: `table[q]` equals
+    `dequantize(q, window)` bit for bit, since it is the same formula."""
+    return dequantize(np.arange(256), window)
 
 
 def to_model_range(q):
@@ -147,26 +155,46 @@ def from_model_range(y):
 # -- head masking ---------------------------------------------------------
 
 
+# in-plane 4-connectivity: labelling a stack with it keeps every slice apart
+_SLICE_CROSS = np.zeros((3, 3, 3), dtype=bool)
+_SLICE_CROSS[1] = ndimage.generate_binary_structure(2, 1)
+
+
 def head_mask(ct, threshold_native=HEAD_MASK_THRESHOLD_HU):
     """Boolean head-region mask of a CT-like volume.
 
     Per slice: threshold in native units, keep the largest 4-connected
-    component, fill its holes. The result is meant to be propagated
-    unchanged to the spatially paired MR volume.
+    component (the first in raster order on ties), fill its holes, the
+    background components that touch no slice border. The whole stack is
+    labelled at once with in-plane connectivity, so each slice stays
+    independent. The result is meant to be propagated unchanged to the
+    spatially paired MR volume.
     """
     if ct.modality not in ("CT", "SYNTH_CT"):
         raise ValueError(f"head_mask needs a CT-like volume, got {ct.modality!r}")
-    native = dequantize(ct.voxels, ct.window)
-    out = np.zeros(ct.dims, dtype=bool)
-    for s in range(ct.dims[0]):
-        fg = native[s] > threshold_native
-        if not fg.any():
-            raise EmptyForegroundError(
-                f"slice {s}: no voxels above {threshold_native} in {ct.modality}")
-        labels, n = ndimage.label(fg)
-        largest = 1 + np.argmax(ndimage.sum_labels(fg, labels, index=range(1, n + 1)))
-        out[s] = ndimage.binary_fill_holes(labels == largest)
-    return out
+    # the table rises with the level, so the levels above threshold are a suffix
+    fg = ct.voxels >= 256 - np.count_nonzero(level_table(ct.window) > threshold_native)
+    empty = ~fg.any(axis=(1, 2))
+    if empty.any():
+        raise EmptyForegroundError(f"slice {int(np.argmax(empty))}: no voxels above "
+                                   f"{threshold_native} in {ct.modality}")
+    labels, n = ndimage.label(fg, _SLICE_CROSS)
+    if n > len(fg):  # else every slice holds one component, its largest
+        # labels run in raster order, so slice s holds labels first[s]+1 .. last[s]
+        sizes = np.bincount(labels.ravel())[1:]
+        last = labels.reshape(len(labels), -1).max(axis=1)
+        first = np.concatenate(([0], last[:-1]))
+        largest = np.repeat(np.maximum.reduceat(sizes, first), last - first)
+        hits = np.flatnonzero(sizes == largest)
+        keep = np.zeros(n + 1, dtype=bool)
+        keep[1 + hits[np.searchsorted(hits, first)]] = True
+        fg = np.take(keep, labels)
+    background, nb = ndimage.label(~fg, _SLICE_CROSS)
+    inside = np.ones(nb + 1, dtype=bool)
+    inside[background[:, (0, -1), :]] = False
+    inside[background[:, :, (0, -1)]] = False
+    inside[0] = True
+    return np.take(inside, background)
 
 
 # -- augmentation ---------------------------------------------------------

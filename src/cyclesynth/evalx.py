@@ -41,6 +41,11 @@ class DegenerateVarianceError(ArithmeticError):
 
 
 def _masked_diff(real, synth, mask):
+    """Native-unit real - synth at the mask voxels, in C order (float64).
+
+    Only the mask voxels are gathered, each through its window's level
+    table, so every value has the bits `dequantize` would give it.
+    """
     if real.dims != synth.dims:
         raise DimsMismatchError(f"volume dims differ: {real.dims} vs {synth.dims}")
     if mask is None or not np.any(mask):
@@ -48,9 +53,8 @@ def _masked_diff(real, synth, mask):
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != real.dims:
         raise DimsMismatchError(f"mask shape {mask.shape} does not match dims {real.dims}")
-    a = data.dequantize(real.voxels, real.window).astype(np.float64)
-    b = data.dequantize(synth.voxels, synth.window).astype(np.float64)
-    return (a - b)[mask]
+    return (np.take(data.level_table(real.window), real.voxels[mask])
+            - np.take(data.level_table(synth.window), synth.voxels[mask]))
 
 
 def mae(real, synth, mask):
@@ -65,13 +69,21 @@ def mse(real, synth, mask):
 
 def psnr(real, synth, mask, mode="rmse_corrected", peak=PSNR_PEAK):
     """Peak signal-to-noise ratio in dB over mask voxels."""
+    value = score(real, synth, mask, mode, peak)[1]
+    if value is None:
+        raise ZeroMseError("infinite PSNR: volumes are identical inside the mask")
+    return value
+
+
+def score(real, synth, mask, mode="rmse_corrected", peak=PSNR_PEAK):
+    """(MAE, PSNR) of one pair from one masked difference; PSNR is None
+    where the volumes are identical inside the mask."""
     if mode not in PSNR_MODES:
         raise ValueError(f"psnr mode must be one of {PSNR_MODES}, got {mode!r}")
-    m = mse(real, synth, mask)
-    if m == 0.0:
-        raise ZeroMseError("infinite PSNR: volumes are identical inside the mask")
+    d = _masked_diff(real, synth, mask)
+    m = float(np.mean(d * d))
     denom = m if mode == "mse_denominator" else np.sqrt(m)
-    return float(20.0 * np.log10(peak / denom))
+    return float(np.mean(np.abs(d))), (float(20.0 * np.log10(peak / denom)) if m else None)
 
 
 @dataclass

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 from . import data, engine, models
 from .checkpoint import read_checkpoint, write_checkpoint
@@ -249,6 +250,29 @@ def check_param_counts():
             raise CheckFailure(f"{kind} width-8 container count {got} != formula")
 
 
+def check_head_mask():
+    """The whole-stack head mask against a per-slice reference on seeded
+    random blobs: 2-D labels, the first largest component, and every
+    background piece that reaches no border filled."""
+    rng = np.random.default_rng(2)
+    stacks = 12
+    for k in range(stacks):
+        s, h, w = (int(v) for v in rng.integers((2, 5, 5), (6, 20, 20)))
+        fg = rng.random((s, h, w)) < rng.uniform(0.3, 0.7)
+        fg[:, h // 2, w // 2] = True
+        got = data.head_mask(data.make_volume("CT", np.where(fg, 255, 0).astype(np.uint8)))
+        for si, plane in enumerate(fg):
+            labels, _ = ndimage.label(plane)
+            head = labels == 1 + np.argmax(np.bincount(labels.ravel())[1:])
+            background, _ = ndimage.label(~head)
+            border = np.concatenate([background[0], background[-1],
+                                     background[:, 0], background[:, -1]])
+            if not np.array_equal(got[si], ~np.isin(background, border[border > 0])):
+                raise CheckFailure(f"stack {k} ({s}x{h}x{w}) slice {si} differs "
+                                   "from the per-slice reference")
+    return f"{stacks} stacks"
+
+
 def check_svol_roundtrip(tmp):
     rng = np.random.default_rng(0)
     vol = data.make_volume("CT", rng.integers(0, 256, (3, 8, 8), dtype=np.uint8),
@@ -319,6 +343,7 @@ def run_all(corrupt_op=None, probes=20, report=None):
     run("arch/receptive_field", check_receptive_field)
     run("arch/shapes", check_shapes)
     run("arch/param_counts", check_param_counts)
+    run("mask/head_mask", check_head_mask)
     with tempfile.TemporaryDirectory() as tmp:
         run("io/svol_roundtrip", lambda: check_svol_roundtrip(tmp))
         run("io/checkpoint_roundtrip", lambda: check_checkpoint_roundtrip(tmp))

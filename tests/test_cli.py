@@ -364,6 +364,41 @@ def test_eval_bad_csv_exits_2(tmp_path, capsys, text, fragment):
     assert err.count("\n") == 1 and err.startswith("error: ") and fragment in err
 
 
+@pytest.mark.parametrize("text,line", [
+    pytest.param("id,mae,psnr\na,nan,2\nb,1,inf\n", 2, id="nan-mae"),
+    pytest.param("id,mae,psnr\na,1,2\nb,1,inf\n", 3, id="inf-psnr"),
+    pytest.param("id,mae_a,psnr_a,mae_b,psnr_b\np0,70.3,31.1,-Infinity,29.3\n", 2,
+                 id="inf-mae-b"),
+])
+def test_eval_csv_non_finite_exits_2(tmp_path, capsys, text, line):
+    csv_path = tmp_path / "fixture.csv"
+    csv_path.write_text(text)
+    report = tmp_path / "report.json"
+    assert cli.main(["eval", "--from-csv", str(csv_path), "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {csv_path}: line {line} has a non-finite value\n"
+    assert captured.out == "" and not report.exists()
+
+
+def test_eval_reads_and_masks_each_real_volume_once(workspace, tmp_path, monkeypatch):
+    real, run_a, run_b = (tmp_path / name for name in ("real", "a", "b"))
+    for d in (real, run_a, run_b):
+        d.mkdir()
+    for i in range(2):
+        shutil.copy(workspace / "data" / f"ct_00{i}.svol", real / f"v{i}.svol")
+        shutil.copy(workspace / "data" / f"ct_00{1 - i}.svol", run_a / f"v{i}.svol")
+        shutil.copy(workspace / "data" / f"ct_00{i}.svol", run_b / f"v{i}.svol")
+    loads, masks = [], []
+    load_volume, head_mask = data.load_volume, data.head_mask
+    monkeypatch.setattr(data, "load_volume", lambda p: loads.append(p) or load_volume(p))
+    monkeypatch.setattr(data, "head_mask", lambda v: masks.append(v) or head_mask(v))
+    assert cli.main(["eval", "--real", str(real), "--synth", str(run_a),
+                     "--synth-b", str(run_b), "--mask-from", "compute"]) == 0
+    assert sorted(str(p) for p in loads) == sorted(
+        str(d / f"v{i}.svol") for d in (real, run_a, run_b) for i in range(2))
+    assert len(masks) == 2 and len({id(v) for v in masks}) == 2
+
+
 def test_eval_error_map(workspace, tmp_path):
     ct = str(workspace / "data" / "ct_000.svol")
     emap = tmp_path / "err.svol"
@@ -386,6 +421,16 @@ def test_selfcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "[PASS] grad/conv2d" in out
+    assert "[PASS] mask/head_mask" in out
+
+
+def test_selfcheck_head_mask_catches_unfilled_holes(monkeypatch):
+    from cyclesynth import selfcheck
+    head_mask = data.head_mask
+    # the largest component with its holes left open
+    monkeypatch.setattr(data, "head_mask", lambda v: head_mask(v) & (v.voxels > 0))
+    with pytest.raises(selfcheck.CheckFailure, match="per-slice reference"):
+        selfcheck.check_head_mask()
 
 
 def test_selfcheck_corrupt_op_fails(capsys):

@@ -44,6 +44,16 @@ class TestQuantize:
         with pytest.raises(ValueError):
             dequantize(np.uint8(7), (5.0, -5.0))
 
+    @pytest.mark.parametrize("window", [(5.0, -5.0), (3.0, 3.0), (float("nan"), 1.0)])
+    def test_every_window_check_has_one_message(self, window):
+        message = f"window lo must be < hi, got ({window[0]}, {window[1]})"
+        for use in (lambda: quantize(0.0, window), lambda: dequantize(7, window),
+                    lambda: data.level_table(window),
+                    lambda: make_volume("CT", np.zeros((1, 2, 2), np.uint8), window=window)):
+            with pytest.raises(ValueError) as err:
+                use()
+            assert str(err.value) == message
+
     @settings(max_examples=200, deadline=None)
     @given(v=st.floats(-2e4, 2e4), lo=st.floats(-1e4, 1e4),
            width=st.floats(1.0, 1e4))
@@ -127,6 +137,56 @@ class TestHeadMask:
         vol = make_volume("MR", np.full((1, 8, 8), 128, dtype=np.uint8))
         with pytest.raises(ValueError):
             head_mask(vol)
+
+    def test_whole_stack_matches_bfs_oracle_per_slice(self):
+        # odd sizes and several slices: one labelling of the stack must keep
+        # every slice apart and match the per-slice oracle
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            s = int(rng.integers(3, 6))
+            h, w = (int(v) for v in rng.integers(5, 20, size=2) | 1)
+            fg = rng.random((s, h, w)) < rng.uniform(0.3, 0.7)
+            fg[:, h // 2, w // 2] = True  # never empty
+            m = head_mask(toy_ct(np.where(fg, 100.0, -600.0)))
+            for si in range(s):
+                assert np.array_equal(m[si], bfs_largest_component_filled(fg[si]))
+
+    def test_equal_size_components_keep_the_first_in_raster_order(self):
+        fg = np.zeros((3, 9, 9), dtype=bool)
+        fg[0, 1:3, 5:7] = fg[0, 5:7, 1:3] = True   # (1, 5) comes first
+        fg[1, 6:8, 6:8] = fg[1, 1:3, 1:3] = True   # (1, 1) comes first
+        fg[2, 0, :3] = fg[2, 8, 6:] = fg[2, 4, 3:6] = True
+        m = head_mask(toy_ct(np.where(fg, 100.0, -600.0)))
+        want = np.zeros_like(fg)
+        want[0, 1:3, 5:7] = want[1, 1:3, 1:3] = want[2, 0, :3] = True
+        assert np.array_equal(m, want)
+        for si in range(3):
+            assert np.array_equal(m[si], bfs_largest_component_filled(fg[si]))
+
+    def test_background_touching_the_border_is_not_a_hole(self):
+        ring = np.ones((9, 9), dtype=bool)
+        ring[2:7, 2:7] = False
+        fg = np.stack([ring, ring.copy()])
+        fg[1, 4, 0:3] = False   # slice 1: a channel from the pocket to the border
+        m = head_mask(toy_ct(np.where(fg, 100.0, -600.0)))
+        assert m[0].all()
+        assert np.array_equal(m[1], fg[1])
+        assert np.array_equal(m[1], bfs_largest_component_filled(fg[1]))
+
+    def test_first_empty_slice_is_named(self):
+        native = np.full((5, 8, 8), 100.0)
+        native[2] = native[4] = -600.0
+        with pytest.raises(data.EmptyForegroundError, match=r"^slice 2: "):
+            head_mask(toy_ct(native))
+
+    @pytest.mark.parametrize("window", [CT_WINDOW, MR_WINDOW])
+    def test_level_table_is_dequantize_bit_for_bit(self, window):
+        levels = np.arange(256, dtype=np.uint8)
+        lo, hi = window
+        want = np.array([lo + (float(q) / 255.0) * (hi - lo) for q in range(256)])
+        table = data.level_table(window)
+        assert table.dtype == np.float64
+        assert table.tobytes() == want.tobytes() == dequantize(levels, window).tobytes()
 
 
 class TestAugment:
