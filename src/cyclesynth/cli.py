@@ -225,17 +225,19 @@ def _mask_for(seen, synth, source):
     return vol.mask
 
 
-def _eval_pairs(pairs, mask_from, mode, reals):
-    """Score each pair. reals maps a real path to its loaded volume and
-    computed mask, so the runs of one command read and mask it once."""
+def _eval_pairs(pairs, mask_from, mode, held, keep=()):
+    """Score each pair. held maps a real path to its loaded volume and
+    computed mask: a pair takes its entry out, and leaves it for a later
+    run of the command only if its real path is in keep."""
     rows = []
     for vol_id, real_path, synth_path in pairs:
-        if real_path not in reals:
-            reals[real_path] = {"volume": data.load_volume(real_path)}
-        seen = reals[real_path]
+        seen = held.pop(real_path, None) or {"volume": data.load_volume(real_path)}
+        real = seen["volume"]
         synth = data.load_volume(synth_path)
         mask = _mask_for(seen, synth, mask_from)
-        mae_v, psnr_v = evalx.score(seen["volume"], synth, mask, mode=mode)
+        mae_v, psnr_v = evalx.score(real, synth, mask, mode=mode)
+        if real_path in keep:
+            held[real_path] = seen
         rows.append(evalx.EvalRow(id=vol_id, mae_hu=mae_v, psnr_db=psnr_v,
                                   n_voxels=int(np.count_nonzero(mask))))
     return evalx.build_report(rows, mode=mode)
@@ -284,11 +286,12 @@ def cmd_eval(args):
             raise ValueError("eval needs --real and --synth (or --from-csv)")
         pairs_a = _collect_pairs(args.real, args.synth)
         pairs_b = _collect_pairs(args.real, args.synth_b) if args.synth_b else []
-        reals = {}
+        held = {}  # real volumes run A read and masked for run B
         start = time.perf_counter()
-        report_a = _eval_pairs(pairs_a, args.mask_from, args.psnr_mode, reals)
+        report_a = _eval_pairs(pairs_a, args.mask_from, args.psnr_mode, held,
+                               keep={rp for _, rp, _ in pairs_b})
         if pairs_b:
-            report_b = _eval_pairs(pairs_b, args.mask_from, args.psnr_mode, reals)
+            report_b = _eval_pairs(pairs_b, args.mask_from, args.psnr_mode, held)
         scored = len(pairs_a) + len(pairs_b)
         rate = scored / (time.perf_counter() - start)
         rate_line = f"evaluated {scored} volumes ({rate:.1f} volumes/s)"
@@ -317,7 +320,7 @@ def cmd_eval(args):
         if args.from_csv or not args.real:
             raise ValueError("--error-map needs volume inputs, not --from-csv")
         _, rp, sp = pairs_a[0]
-        emap = evalx.error_map(reals[rp]["volume"], data.load_volume(sp))
+        emap = evalx.error_map(data.load_volume(rp), data.load_volume(sp))
         data.save_volume(emap, args.error_map)
     return 0
 

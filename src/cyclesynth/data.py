@@ -179,16 +179,15 @@ def head_mask(ct, threshold_native=HEAD_MASK_THRESHOLD_HU):
         raise EmptyForegroundError(f"slice {int(np.argmax(empty))}: no voxels above "
                                    f"{threshold_native} in {ct.modality}")
     labels, n = ndimage.label(fg, _SLICE_CROSS)
-    if n > len(fg):  # else every slice holds one component, its largest
-        # labels run in raster order, so slice s holds labels first[s]+1 .. last[s]
-        sizes = np.bincount(labels.ravel())[1:]
-        last = labels.reshape(len(labels), -1).max(axis=1)
-        first = np.concatenate(([0], last[:-1]))
-        largest = np.repeat(np.maximum.reduceat(sizes, first), last - first)
-        hits = np.flatnonzero(sizes == largest)
-        keep = np.zeros(n + 1, dtype=bool)
-        keep[1 + hits[np.searchsorted(hits, first)]] = True
-        fg = np.take(keep, labels)
+    # labels run in raster order, so slice s holds labels first[s]+1 .. last[s]
+    sizes = np.bincount(labels.ravel())[1:]
+    last = labels.reshape(len(labels), -1).max(axis=1)
+    first = np.concatenate(([0], last[:-1]))
+    largest = np.repeat(np.maximum.reduceat(sizes, first), last - first)
+    hits = np.flatnonzero(sizes == largest)
+    keep = np.zeros(n + 1, dtype=bool)
+    keep[1 + hits[np.searchsorted(hits, first)]] = True
+    fg = np.take(keep, labels)
     background, nb = ndimage.label(~fg, _SLICE_CROSS)
     inside = np.ones(nb + 1, dtype=bool)
     inside[background[:, (0, -1), :]] = False

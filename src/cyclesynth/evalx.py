@@ -59,7 +59,7 @@ def _masked_diff(real, synth, mask):
 
 def mae(real, synth, mask):
     """Mean absolute difference in native units over mask voxels."""
-    return float(np.mean(np.abs(_masked_diff(real, synth, mask))))
+    return score(real, synth, mask)[0]
 
 
 def mse(real, synth, mask):

@@ -1,11 +1,13 @@
 """Command line behavior: exit codes, artifacts, determinism."""
 
+import gc
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -397,6 +399,36 @@ def test_eval_reads_and_masks_each_real_volume_once(workspace, tmp_path, monkeyp
     assert sorted(str(p) for p in loads) == sorted(
         str(d / f"v{i}.svol") for d in (real, run_a, run_b) for i in range(2))
     assert len(masks) == 2 and len({id(v) for v in masks}) == 2
+
+
+@pytest.mark.parametrize("synth_b", [False, True], ids=["single", "synth-b"])
+def test_eval_holds_a_real_volume_only_until_its_last_run(workspace, tmp_path,
+                                                           monkeypatch, synth_b):
+    real, run_a, run_b = (tmp_path / name for name in ("real", "a", "b"))
+    for d in (real, run_a, run_b):
+        d.mkdir()
+    for i in range(2):
+        shutil.copy(workspace / "data" / f"ct_00{i}.svol", real / f"v{i}.svol")
+        shutil.copy(workspace / "data" / f"ct_00{1 - i}.svol", run_a / f"v{i}.svol")
+        shutil.copy(workspace / "data" / f"ct_00{i}.svol", run_b / f"v{i}.svol")
+    live, seen = weakref.WeakSet(), []  # real volumes still referenced, per load
+    load_volume = data.load_volume
+    def load(path):
+        gc.collect()
+        seen.append((path.parent.name, len(live)))
+        vol = load_volume(path)
+        if path.parent == real:
+            live.add(vol)
+        return vol
+    monkeypatch.setattr(data, "load_volume", load)
+    argv = ["eval", "--real", str(real), "--synth", str(run_a), "--mask-from", "compute"]
+    assert cli.main(argv + (["--synth-b", str(run_b)] if synth_b else [])) == 0
+    if synth_b:
+        # run A keeps every real volume for run B, which lets each go once scored
+        assert [n for d, n in seen if d == "a"] == [1, 2]
+        assert [n for d, n in seen if d == "b"] == [2, 1]
+    else:
+        assert [n for d, n in seen] == [0, 1, 1, 1]
 
 
 def test_eval_error_map(workspace, tmp_path):
