@@ -287,6 +287,9 @@ def cmd_eval(args):
         pairs_a = _collect_pairs(args.real, args.synth)
         pairs_b = _collect_pairs(args.real, args.synth_b) if args.synth_b else []
         held = {}  # real volumes run A read and masked for run B
+        if args.mask_from == "compute":
+            # head_mask's first call would import scipy inside the timed span
+            import scipy.ndimage  # noqa: F401
         start = time.perf_counter()
         report_a = _eval_pairs(pairs_a, args.mask_from, args.psnr_mode, held,
                                keep={rp for _, rp, _ in pairs_b})
@@ -331,6 +334,9 @@ def cmd_eval(args):
 def cmd_selfcheck(args):
     if args.probes < 1:
         raise ValueError(f"--probes must be >= 1, got {args.probes}")
+    if args.corrupt_op is not None and args.corrupt_op not in selfcheck.PROBED_OPS:
+        raise ValueError(f"--corrupt-op: {args.corrupt_op!r} is not an op the gradient "
+                         f"suite probes; choose one of {', '.join(selfcheck.PROBED_OPS)}")
     results = selfcheck.run_all(corrupt_op=args.corrupt_op,
                                 probes=args.probes, report=print)
     failed = [r for r in results if not r.ok]

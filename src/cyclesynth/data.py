@@ -21,7 +21,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 MODALITIES = ("MR", "CT", "SYNTH_MR", "SYNTH_CT")
 CT_WINDOW = (-600.0, 1400.0)
@@ -157,7 +156,7 @@ def from_model_range(y):
 
 # in-plane 4-connectivity: labelling a stack with it keeps every slice apart
 _SLICE_CROSS = np.zeros((3, 3, 3), dtype=bool)
-_SLICE_CROSS[1] = ndimage.generate_binary_structure(2, 1)
+_SLICE_CROSS[1] = [[0, 1, 0], [1, 1, 1], [0, 1, 0]]
 
 
 def head_mask(ct, threshold_native=HEAD_MASK_THRESHOLD_HU):
@@ -170,6 +169,8 @@ def head_mask(ct, threshold_native=HEAD_MASK_THRESHOLD_HU):
     independent. The result is meant to be propagated unchanged to the
     spatially paired MR volume.
     """
+    from scipy import ndimage  # loaded on first use: phantom, train and infer never mask
+
     if ct.modality not in ("CT", "SYNTH_CT"):
         raise ValueError(f"head_mask needs a CT-like volume, got {ct.modality!r}")
     # the table rises with the level, so the levels above threshold are a suffix

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import data
 
@@ -138,6 +137,8 @@ def build_report(rows, mode="rmse_corrected"):
 
 def paired_ttest(a, b):
     """Paired two-sided t-test; returns (t, p) with n-1 degrees of freedom."""
+    from scipy import special
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:

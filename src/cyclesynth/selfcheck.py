@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from . import data, engine, models
 from .checkpoint import read_checkpoint, write_checkpoint
@@ -30,6 +29,11 @@ class CheckResult:
     ok: bool
     detail: str
     seconds: float
+
+
+# the engine ops op_gradient_checks calls, so the ones corrupted_op may break
+PROBED_OPS = ("add", "sub", "mul", "square", "absolute", "tanh", "relu", "leaky_relu",
+              "tsum", "tmean", "conv2d", "conv_transpose2d", "instance_norm")
 
 
 @contextmanager
@@ -254,6 +258,8 @@ def check_head_mask():
     """The whole-stack head mask against a per-slice reference on seeded
     random blobs: 2-D labels, the first largest component, and every
     background piece that reaches no border filled."""
+    from scipy import ndimage
+
     rng = np.random.default_rng(2)
     stacks = 12
     for k in range(stacks):

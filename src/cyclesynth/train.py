@@ -15,6 +15,7 @@ checkpoint therefore continues exactly the run that produced it.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -71,12 +72,10 @@ class TrainConfig:
         problems = []
         if self.mode not in MODES:
             problems.append(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.lam < 0:
-            problems.append("lam must be >= 0")
-        if self.mu < 0:
-            problems.append("mu must be >= 0")
-        if self.base_lr < 0:
-            problems.append("base_lr must be >= 0")
+        for name in ("lam", "mu", "base_lr"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                problems.append(f"{name} must be finite and >= 0, got {value}")
         if self.fixed_epochs < 0 or self.decay_epochs < 0:
             problems.append("epoch counts must be >= 0")
         if self.batch_size < 1:

@@ -143,6 +143,29 @@ def test_train_rejects_non_positive_volume_limit(workspace, tmp_path, capsys, li
     assert not (out / "ckpt_epoch0.csyn").exists()
 
 
+@pytest.fixture(scope="module")
+def phantom32(tmp_path_factory):
+    out = tmp_path_factory.mktemp("p32") / "data"
+    assert cli.main(["phantom", "--out", str(out), "--volumes", "1",
+                     "--slices", "2", "--size", "32x32"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("flag,field", [("--lambda", "lam"), ("--mu", "mu"),
+                                        ("--lr", "base_lr")])
+def test_train_rejects_non_finite_or_negative_weights(phantom32, tmp_path, capsys,
+                                                      flag, field, value):
+    out = tmp_path / "o"
+    assert cli.main(["train", "--data", str(phantom32), "--out", str(out),
+                     "--epochs-fixed", "0", "--epochs-decay", "0", "--width-f", "4",
+                     "--width-d", "4", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid training config:")
+    assert f"{field} must be finite and >= 0, got {float(value)}" in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_train_invalid_config(workspace, tmp_path):
     assert cli.main(["train", "--data", str(workspace / "data"),
                      "--out", str(tmp_path), "--batch", "0"]) == 2
@@ -488,6 +511,44 @@ def test_selfcheck_probes_below_one_exits_2(capsys, probes):
     captured = capsys.readouterr()
     assert captured.err == f"error: --probes must be >= 1, got {probes}\n"
     assert "FAIL" not in captured.out
+
+
+@pytest.mark.parametrize("name", ["nonexistent", "np", "Tensor"])
+def test_selfcheck_rejects_corrupt_op_that_is_not_a_probed_op(capsys, name):
+    assert cli.main(["selfcheck", "--probes", "8", "--corrupt-op", name]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --corrupt-op: {name!r} is not an op")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # no check ran
+
+
+def test_phantom_train_infer_never_import_scipy(tmp_path):
+    code = """if True:
+        import sys
+        from pathlib import Path
+        import cyclesynth.cli as cli
+
+        def scipy_loaded():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        root = Path(sys.argv[1])
+        assert scipy_loaded() == [], scipy_loaded()
+        assert cli.main(["phantom", "--out", str(root / "d"), "--volumes", "1",
+                         "--slices", "2", "--size", "24x24"]) == 0
+        assert cli.main(["train", "--data", str(root / "d"), "--out", str(root / "r"),
+                         "--epochs-fixed", "0", "--epochs-decay", "0",
+                         "--width-f", "4", "--width-d", "4"]) == 0
+        assert cli.main(["infer", "--ckpt", str(root / "r" / "ckpt_epoch0.csyn"),
+                         "--in", str(root / "d" / "mr_000.svol"), "--direction", "mr2ct",
+                         "--out", str(root / "s.svol")]) == 0
+        assert scipy_loaded() == [], scipy_loaded()
+        assert cli.main(["eval", "--real", str(root / "d" / "ct_000.svol"),
+                         "--synth", str(root / "s.svol"), "--mask-from", "compute"]) == 0
+        assert "scipy.ndimage" in sys.modules
+    """
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_thread_env_propagates():
