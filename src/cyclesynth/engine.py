@@ -7,6 +7,12 @@ reverse topological order, accumulating into ``.grad`` so that tensors
 used in several places (e.g. a generator appearing in both cycles)
 receive the sum of all contributions.
 
+``backward`` consumes the graph it walks: once a node's closure has run,
+the node drops that closure (and every array it saved), its parents and
+its gradient, so the tape shrinks as the pass goes. Leaves keep their
+gradients. A spent node raises if a later backward reaches it, so a
+graph cannot be walked twice.
+
 Broadcasting is deliberately restricted to scalars; channel-wise biases
 and affine parameters are handled inside conv2d / instance_norm, which
 keeps every gradient path explicit and easy to audit.
@@ -17,7 +23,7 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeError(ValueError):
@@ -347,8 +353,11 @@ def _unpad2d_adjoint(g, pad, mode, out_h, out_w):
 
 def _im2col(xp, k, stride):
     """[N,C,H,W] -> contiguous [C*k*k, N*Ho*Wo] columns: row (c,i,j), column (n,y,x)."""
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(xp.shape[1] * k * k, -1)
+    n, c, h, w = xp.shape
+    sn, sc, sh, sw = xp.strides
+    win = as_strided(xp, (c, k, k, n, (h - k) // stride + 1, (w - k) // stride + 1),
+                     (sc, sh, sw, sn, sh * stride, sw * stride), writeable=False)
+    return np.ascontiguousarray(win).reshape(c * k * k, -1)
 
 
 def _flat_grid(g, hq, wq):
@@ -393,9 +402,11 @@ def _conv_input_grad(g, w, stride, ext_h, ext_w):
 
     At stride 1 with Cout < Cin: a full correlation with the flipped kernel (Cout*k*k
     column rows). Otherwise one GEMM, W^T @ Gf, with G in a flat grid of
-    Hq x Wq = ceil(ext/s) cells, cut after its last nonzero column. Tap (i,j) lands
-    in stride phase (i%s, j%s), the input rows i%s::s and columns j%s::s, shifted by
-    (i//s)*Wq + j//s, so each phase is a stride-1 scatter of contiguous slices.
+    Hq x Wq = ceil(ext/s) cells, cut after its last nonzero column. Its rows are
+    tap-major, (i,j,c), so each tap's block P[i,j] is one contiguous [Cin, last]
+    slice. Tap (i,j) lands in stride phase (i%s, j%s), the input rows i%s::s and
+    columns j%s::s, shifted by (i//s)*Wq + j//s, so each phase is a stride-1
+    scatter of contiguous slices.
     """
     n, cout = g.shape[:2]
     cin, k = w.shape[1], w.shape[2]
@@ -406,7 +417,9 @@ def _conv_input_grad(g, w, stride, ext_h, ext_w):
     s = stride
     hq, wq = -(-ext_h // s), -(-ext_w // s)
     gf, last = _flat_grid(g, hq, wq)
-    p = (w.reshape(cout, -1).T @ gf[:, :last]).reshape(cin, k, k, last)
+    # the same transposed-weight GEMM as W.reshape(Cout, -1).T with its rows permuted,
+    # so every value keeps its bits; a C-ordered weight changes BLAS sums at some shapes
+    p = (w.transpose(0, 2, 3, 1).reshape(cout, -1).T @ gf[:, :last]).reshape(k, k, cin, last)
     grid = np.zeros((cin, n * hq * wq), dtype=g.dtype)
     # at stride 1 the one phase's grid is the whole gradient, so it is returned as is
     full = grid.reshape(cin, n, hq, wq) if s == 1 else np.empty((cin, n, ext_h, ext_w), g.dtype)
@@ -417,7 +430,7 @@ def _conv_input_grad(g, w, stride, ext_h, ext_w):
             for i in range(a, k, s):
                 for j in range(b, k, s):
                     off = i // s * wq + j // s
-                    grid[:, off:off + last] += p[:, i, j]
+                    grid[:, off:off + last] += p[i, j]
             if s > 1:
                 phase = full[:, :, a::s, b::s]
                 phase[...] = grid.reshape(cin, n, hq, wq)[:, :, :phase.shape[2], :phase.shape[3]]
@@ -444,28 +457,31 @@ def conv2d(x, w, b, stride=1, pad=0, pad_mode="zeros"):
             f"conv2d geometry invalid: input {h}x{wd}, k={k}, stride={stride}, "
             f"pad={pad} gives output {ho}x{wo}")
 
+    # both paths keep only the padded input xp for the backward: the wide path's
+    # Cin*k*k columns (k*k times xp at stride 1) live for its forward GEMM and are
+    # rebuilt from xp for dW, so no column matrix waits on the tape
     xp = _pad2d(x.data, pad, pad_mode)
-    if stride == 1 and cout < cin:
+    narrow = stride == 1 and cout < cin
+    if narrow:
         # narrow side, as in _conv_input_grad: Cout*k*k GEMM rows per sample, then the
         # k*k shifted windows summed; dW comes from shifted views of xp, no columns.
         # One sample at a time, so the largest buffer is one sample's P.
         wt = w.data.transpose(0, 2, 3, 1).reshape(-1, cin)
-        out, cols = np.empty((n, cout, ho, wo), dtype=xp.dtype), None
+        out = np.empty((n, cout, ho, wo), dtype=xp.dtype)
         for si in range(n):
             p = (wt @ xp[si].reshape(cin, -1)).reshape(cout, k, k, -1)
             out[si] = _sum_windows(p, xp.shape[3], ho, wo)
     else:
-        cols, xp = _im2col(xp, k, stride), None
-        out = (w.data.reshape(cout, -1) @ cols).reshape(cout, n, ho, wo)
+        out = (w.data.reshape(cout, -1) @ _im2col(xp, k, stride)).reshape(cout, n, ho, wo)
         out = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
     out += b.data.reshape(1, cout, 1, 1)
 
     def bwd(g):
-        if w.requires_grad and cols is None:
+        if w.requires_grad and narrow:
             w._accumulate(_narrow_weight_grad(g, xp, k))
         elif w.requires_grad:
             g2 = g.transpose(1, 0, 2, 3).reshape(cout, -1)
-            w._accumulate((g2 @ cols.T).reshape(w.data.shape))
+            w._accumulate((g2 @ _im2col(xp, k, stride).T).reshape(w.data.shape))
         if b.requires_grad:
             b._accumulate(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
@@ -609,13 +625,26 @@ def _topo_order(root):
     return nodes
 
 
+def _spent(g):
+    raise RuntimeError("backward reached a node whose graph an earlier backward consumed")
+
+
 def backward(loss):
-    """Populate d(loss)/d(leaf) for every requires_grad tensor feeding loss."""
+    """Populate d(loss)/d(leaf) for every requires_grad tensor feeding loss.
+
+    Consumes the graph: each node, once its closure has run, drops that closure,
+    its parents and its gradient, and a later backward that reaches it raises.
+    """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(_topo_order(loss)):
-        if node._backward is not None and node.grad is not None:
+    nodes = _topo_order(loss)
+    while nodes:
+        node = nodes.pop()
+        if node._backward is None:
+            continue  # a leaf loss keeps its gradient
+        if node.grad is not None:
             node._backward(node.grad)
+        node._backward, node._parents, node.grad = _spent, (), None

@@ -68,8 +68,10 @@ def corrupted_op(name):
 # -- finite-difference machinery ------------------------------------------
 
 
-def _probe(arrays, grads, loss_value, rng, probes, h, tol, what="relative error"):
-    """Central differences at `probes` random flat indices across `arrays`.
+def _probe(arrays, grads, loss_value, rng, probes, h, tol, what="relative error",
+           every_array=False):
+    """Central differences at `probes` random flat indices across `arrays`, or, with
+    every_array, at a random index of array t mod len(arrays) for probe t.
 
     Each probe bumps one element to orig +/- h in place, calls loss_value(),
     and restores it. Returns the max FD-vs-analytic deviation, normalized by
@@ -78,12 +80,16 @@ def _probe(arrays, grads, loss_value, rng, probes, h, tol, what="relative error"
     sizes = [a.size for a in arrays]
     total = sum(sizes)
     analytic, numeric = [], []
-    for _ in range(probes):
-        pick = int(rng.integers(total))
-        ti = 0
-        while pick >= sizes[ti]:
-            pick -= sizes[ti]
-            ti += 1
+    for t in range(probes):
+        if every_array:
+            ti = t % len(arrays)
+            pick = int(rng.integers(sizes[ti]))
+        else:
+            pick = int(rng.integers(total))
+            ti = 0
+            while pick >= sizes[ti]:
+                pick -= sizes[ti]
+                ti += 1
         a = arrays[ti]
         analytic.append(float(grads[ti].flat[pick]))
         orig = a.flat[pick]
@@ -103,7 +109,8 @@ def _probe(arrays, grads, loss_value, rng, probes, h, tol, what="relative error"
 
 
 def _fd_gradcheck(build_loss, arrays, rng, probes=20, h=1e-3, tol=1e-2):
-    """Op-level finite-difference check of build_loss's gradient (see _probe)."""
+    """Op-level finite-difference check of build_loss's gradient (see _probe). Every
+    array is probed, so a wrong operand gradient cannot hide behind the others."""
     tensors = [engine.Tensor(a, requires_grad=True) for a in arrays]
     engine.backward(build_loss(tensors))
 
@@ -111,7 +118,8 @@ def _fd_gradcheck(build_loss, arrays, rng, probes=20, h=1e-3, tol=1e-2):
         with engine.no_grad():
             return build_loss([engine.Tensor(a) for a in arrays]).item()
 
-    return _probe(arrays, [t.grad for t in tensors], loss_value, rng, probes, h, tol)
+    return _probe(arrays, [t.grad for t in tensors], loss_value, rng, probes, h, tol,
+                  every_array=True)
 
 
 def _away_from_zero(rng, shape, low=0.2, high=1.0):
@@ -279,37 +287,39 @@ def check_head_mask():
     return f"{stacks} stacks"
 
 
+def _check_roundtrip(what, path, obj, save, load, same):
+    """save(obj, path), load it back, require same(back, obj), then save the loaded
+    copy over it and require the same bytes."""
+    save(obj, path)
+    first = path.read_bytes()
+    back = load(path)
+    if not same(back, obj):
+        raise CheckFailure(f"{what} did not survive the round trip")
+    save(back, path)
+    if path.read_bytes() != first:
+        raise CheckFailure(f"{what} re-save is not byte-identical")
+
+
 def check_svol_roundtrip(tmp):
     rng = np.random.default_rng(0)
     vol = data.make_volume("CT", rng.integers(0, 256, (3, 8, 8), dtype=np.uint8),
                            mask=rng.random((3, 8, 8)) < 0.5)
-    path = Path(tmp) / "probe.svol"
-    data.save_volume(vol, path)
-    first = path.read_bytes()
-    back = data.load_volume(path)
-    if not (np.array_equal(back.voxels, vol.voxels)
-            and np.array_equal(back.mask, vol.mask)
-            and back.window == vol.window and back.modality == vol.modality):
-        raise CheckFailure("volume did not survive the round trip")
-    data.save_volume(back, path)
-    if path.read_bytes() != first:
-        raise CheckFailure("volume re-save is not byte-identical")
+    _check_roundtrip("volume", Path(tmp) / "probe.svol", vol, data.save_volume,
+                     data.load_volume,
+                     lambda a, b: (np.array_equal(a.voxels, b.voxels)
+                                   and np.array_equal(a.mask, b.mask)
+                                   and a.window == b.window and a.modality == b.modality))
 
 
 def check_checkpoint_roundtrip(tmp):
     rng = np.random.default_rng(1)
     arrays = {"a/w": rng.standard_normal((3, 4)).astype(np.float32),
               "b/w": rng.standard_normal(7).astype(np.float32)}
-    path = Path(tmp) / "probe.csyn"
-    write_checkpoint(path, arrays, {"epoch": 2})
-    first = path.read_bytes()
-    back, meta = read_checkpoint(path)
-    if meta["epoch"] != 2 or any(not np.array_equal(back[k], arrays[k])
-                                 for k in arrays):
-        raise CheckFailure("checkpoint did not survive the round trip")
-    write_checkpoint(path, back, meta)
-    if path.read_bytes() != first:
-        raise CheckFailure("checkpoint re-save is not byte-identical")
+    # the object is (arrays, meta), the pair read_checkpoint returns
+    _check_roundtrip("checkpoint", Path(tmp) / "probe.csyn", (arrays, {"epoch": 2}),
+                     lambda obj, path: write_checkpoint(path, *obj), read_checkpoint,
+                     lambda a, b: (a[1]["epoch"] == b[1]["epoch"]
+                                   and all(np.array_equal(a[0][k], b[0][k]) for k in b[0])))
 
 
 def run_all(corrupt_op=None, probes=20, report=None):

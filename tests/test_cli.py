@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, artifacts, determinism."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -12,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cyclesynth import cli, data
+from cyclesynth import cli, data, selfcheck
 from cyclesynth.checkpoint import read_checkpoint, write_checkpoint
 from cyclesynth.models import param_shapes
 
@@ -480,7 +481,6 @@ def test_selfcheck_passes(capsys):
 
 
 def test_selfcheck_head_mask_catches_unfilled_holes(monkeypatch):
-    from cyclesynth import selfcheck
     head_mask = data.head_mask
     # the largest component with its holes left open
     monkeypatch.setattr(data, "head_mask", lambda v: head_mask(v) & (v.voxels > 0))
@@ -503,6 +503,40 @@ def test_selfcheck_corrupt_instance_norm_fails(capsys):
     for name in ("instance_norm", "instance_norm_relu", "instance_norm_leaky"):
         assert f"[FAIL] grad/{name}" in out
     assert "first failing check: grad/instance_norm\n" in out
+
+
+@pytest.mark.parametrize("op", selfcheck.PROBED_OPS)
+def test_selfcheck_catches_every_probed_op_at_8_probes(capsys, op):
+    # each op check probes every operand, so a spoiled first-operand gradient
+    # cannot hide behind draws that all land in the other arrays
+    assert cli.main(["selfcheck", "--probes", "8", "--corrupt-op", op]) == 3
+    assert "first failing check: grad/" in capsys.readouterr().out
+
+
+def test_selfcheck_roundtrip_failures_keep_their_messages(tmp_path, monkeypatch):
+    load_volume, read_ckpt = data.load_volume, selfcheck.read_checkpoint
+    monkeypatch.setattr(data, "load_volume",
+                        lambda path: dataclasses.replace(load_volume(path), window=(0.0, 1.0)))
+    with pytest.raises(selfcheck.CheckFailure, match="^volume did not survive the round trip$"):
+        selfcheck.check_svol_roundtrip(tmp_path)
+
+    def shifted(path):
+        arrays, meta = read_ckpt(path)
+        return {k: v + 1 for k, v in arrays.items()}, meta
+
+    monkeypatch.setattr(selfcheck, "read_checkpoint", shifted)
+    with pytest.raises(selfcheck.CheckFailure,
+                       match="^checkpoint did not survive the round trip$"):
+        selfcheck.check_checkpoint_roundtrip(tmp_path)
+
+    def restamped(path):
+        arrays, meta = read_ckpt(path)
+        return arrays, {**meta, "note": "re-saved"}
+
+    monkeypatch.setattr(selfcheck, "read_checkpoint", restamped)
+    with pytest.raises(selfcheck.CheckFailure,
+                       match="^checkpoint re-save is not byte-identical$"):
+        selfcheck.check_checkpoint_roundtrip(tmp_path)
 
 
 @pytest.mark.parametrize("probes", ["0", "-3"])

@@ -427,6 +427,68 @@ class TestBackward:
         assert not y.requires_grad and y._backward is None
 
 
+class TestConsumedTape:
+    """backward frees the graph as it goes: each node drops its closure, parents and
+    gradient once it has run, leaves keep theirs, and a spent graph cannot be reused."""
+
+    @staticmethod
+    def _graph():
+        rng = np.random.default_rng(21)
+        params = [T(rng.normal(size=s), grad=True) for s in ((6, 3, 3, 3), (6,), (6,), (6,))]
+        x = T(rng.normal(size=(2, 3, 8, 8)))
+        w, b, gamma, beta = params
+        h = instance_norm(conv2d(x, w, b, stride=1, pad=1, pad_mode="reflect"), gamma, beta,
+                          slope=0.0)
+        head, tail = engine.split_batch(engine.tanh(h), 1)
+        loss = engine.add(engine.tmean(engine.square(head)), engine.tsum(engine.absolute(tail)))
+        return loss, params
+
+    def test_nodes_are_spent_and_leaves_keep_gradients(self):
+        loss, params = self._graph()
+        nodes = engine._topo_order(loss)
+        assert len(nodes) == 10
+        backward(loss)
+        for node in nodes:
+            assert node._parents == () and node.grad is None
+        assert all(p.grad is not None and np.abs(p.grad).max() > 0 for p in params)
+
+    def test_second_backward_raises(self):
+        loss, params = self._graph()
+        backward(loss)
+        first = [p.grad.copy() for p in params]
+        with pytest.raises(RuntimeError, match="consumed"):
+            backward(loss)
+        for p, g in zip(params, first):
+            np.testing.assert_array_equal(p.grad, g)
+
+    def test_new_op_on_spent_intermediate_raises(self):
+        x = T([1.5, -2.0], grad=True)
+        y = engine.square(x)
+        backward(engine.tsum(y))
+        with pytest.raises(RuntimeError, match="consumed"):
+            backward(engine.tsum(engine.mul(y, x)))
+
+    def test_leaf_loss_keeps_its_gradient(self):
+        x = T([2.0], grad=True)
+        backward(x)
+        np.testing.assert_array_equal(x.grad, [1.0])
+
+    def test_wide_conv_keeps_padded_input_not_columns(self):
+        rng = np.random.default_rng(22)
+        n, cin, cout, k, size = 2, 4, 6, 3, 8
+        x = T(rng.normal(size=(n, cin, size, size)), grad=True)
+        w = T(rng.normal(size=(cout, cin, k, k)), grad=True)
+        out = conv2d(x, w, T(rng.normal(size=cout), grad=True), stride=1, pad=1)
+        saved = [c.cell_contents for c in out._backward.__closure__
+                 if isinstance(c.cell_contents, np.ndarray)]
+        assert (n, cin, size + 2, size + 2) in [a.shape for a in saved]
+        assert all(a.size != cin * k * k * n * size * size for a in saved)
+        # and the weight gradient rebuilt from the padded input is still exact
+        with engine.precision(np.float64):
+            gradcheck(lambda ts: engine.tmean(engine.square(conv2d(ts[0], ts[1], ts[2], 1, 1))),
+                      [x.data, w.data, rng.normal(size=cout)], rng, wrt=[1])
+
+
 class TestGradientOracle:
     """Every differentiable op against central finite differences."""
 
