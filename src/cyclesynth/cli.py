@@ -55,10 +55,10 @@ def _utc_now():
 
 
 def cmd_phantom(args):
-    if args.volumes < 1:
-        raise ValueError(f"--volumes must be >= 1, got {args.volumes}")
-    if args.slices < 1:
-        raise ValueError(f"--slices must be >= 1, got {args.slices}")
+    for flag, value, low in (("--volumes", args.volumes, 1), ("--slices", args.slices, 1),
+                             ("--seed", args.seed, 0), ("--shape-seed", args.shape_seed, 0)):
+        if value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
     h, w = args.size
     if h < 4 or w < 4:
         raise ValueError(f"--size sides must be >= 4, got {h}x{w}")
@@ -113,6 +113,7 @@ def cmd_train(args):
 
     mr_paths, mr_vols = _load_modality(args.data, "mr", args.limit_volumes)
     ct_paths, ct_vols = _load_modality(args.data, "ct", args.limit_volumes)
+    train._crop_plan(mr_vols + ct_vols, cfg)  # a crop that cannot work fails before any write
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -212,12 +213,9 @@ def _collect_pairs(real_path, synth_path):
     return pairs
 
 
-def _mask_for(seen, synth, source):
-    real = seen["volume"]
+def _mask_for(real, synth, source):
     if source == "compute":
-        if "mask" not in seen:
-            seen["mask"] = data.head_mask(real)
-        return seen["mask"]
+        return data.head_mask(real)
     vol = real if source == "real" else synth
     if vol.mask is None:
         raise ValueError(f"--mask-from {source}: volume carries no mask; "
@@ -225,22 +223,23 @@ def _mask_for(seen, synth, source):
     return vol.mask
 
 
-def _eval_pairs(pairs, mask_from, mode, held, keep=()):
-    """Score each pair. held maps a real path to its loaded volume and
-    computed mask: a pair takes its entry out, and leaves it for a later
-    run of the command only if its real path is in keep."""
-    rows = []
-    for vol_id, real_path, synth_path in pairs:
-        seen = held.pop(real_path, None) or {"volume": data.load_volume(real_path)}
-        real = seen["volume"]
-        synth = data.load_volume(synth_path)
-        mask = _mask_for(seen, synth, mask_from)
-        mae_v, psnr_v = evalx.score(real, synth, mask, mode=mode)
-        if real_path in keep:
-            held[real_path] = seen
-        rows.append(evalx.EvalRow(id=vol_id, mae_hu=mae_v, psnr_db=psnr_v,
-                                  n_voxels=int(np.count_nonzero(mask))))
-    return evalx.build_report(rows, mode=mode)
+def _eval_rows(pairs_a, pairs_b, mask_from, mode):
+    """Rows of run A and, if pairs_b, run B, one real volume at a time: each is read
+    once and scored against its A and B volumes, and its real or computed mask is
+    taken at most once. pairs_b, if given, holds the same real paths in order."""
+    rows_a, rows_b = [], []
+    for k, (vol_id, real_path, synth_a) in enumerate(pairs_a):
+        real = data.load_volume(real_path)
+        mask = None
+        runs = [(rows_a, synth_a)] + ([(rows_b, pairs_b[k][2])] if pairs_b else [])
+        for rows, synth_path in runs:
+            synth = data.load_volume(synth_path)
+            if mask is None or mask_from == "synth":
+                mask = _mask_for(real, synth, mask_from)
+            mae_v, psnr_v = evalx.score(real, synth, mask, mode=mode)
+            rows.append(evalx.EvalRow(id=vol_id, mae_hu=mae_v, psnr_db=psnr_v,
+                                      n_voxels=int(np.count_nonzero(mask))))
+    return rows_a, rows_b
 
 
 def _rows_from_csv(path):
@@ -267,44 +266,34 @@ def _rows_from_csv(path):
     return rows(0), (rows(2) if len(header) == 5 else None)
 
 
-def _ttest_lines(rows_a, rows_b):
-    t, p = evalx.paired_ttest([r.mae_hu for r in rows_a],
-                              [r.mae_hu for r in rows_b])
-    verdict = "significant at p < 0.05" if p < 0.05 else "not significant"
-    return t, p, [f"paired t-test on MAE: t = {t:.4f}, p = {p:.4g} ({verdict})"]
-
-
 def cmd_eval(args):
-    report_b = ttest = rate_line = None
+    ttest = rate_line = None
     if args.from_csv:
         rows_a, rows_b = _rows_from_csv(args.from_csv)
-        report_a = evalx.build_report(rows_a, mode=args.psnr_mode)
-        if rows_b:
-            report_b = evalx.build_report(rows_b, mode=args.psnr_mode)
     else:
         if not args.real or not args.synth:
             raise ValueError("eval needs --real and --synth (or --from-csv)")
         pairs_a = _collect_pairs(args.real, args.synth)
         pairs_b = _collect_pairs(args.real, args.synth_b) if args.synth_b else []
-        held = {}  # real volumes run A read and masked for run B
         if args.mask_from == "compute":
             # head_mask's first call would import scipy inside the timed span
             import scipy.ndimage  # noqa: F401
         start = time.perf_counter()
-        report_a = _eval_pairs(pairs_a, args.mask_from, args.psnr_mode, held,
-                               keep={rp for _, rp, _ in pairs_b})
-        if pairs_b:
-            report_b = _eval_pairs(pairs_b, args.mask_from, args.psnr_mode, held)
+        rows_a, rows_b = _eval_rows(pairs_a, pairs_b, args.mask_from, args.psnr_mode)
         scored = len(pairs_a) + len(pairs_b)
         rate = scored / (time.perf_counter() - start)
         rate_line = f"evaluated {scored} volumes ({rate:.1f} volumes/s)"
+    report_a = evalx.build_report(rows_a, mode=args.psnr_mode)
+    report_b = evalx.build_report(rows_b, mode=args.psnr_mode) if rows_b else None
 
     lines = [evalx.render_table(report_a, report_b,
                                 label_a=args.label_a, label_b=args.label_b)]
     if report_b is not None and len(report_a.rows) >= 2:
-        t, p, extra = _ttest_lines(report_a.rows, report_b.rows)
+        t, p = evalx.paired_ttest([r.mae_hu for r in report_a.rows],
+                                  [r.mae_hu for r in report_b.rows])
         ttest = {"t": t, "p": p}
-        lines += extra
+        verdict = "significant at p < 0.05" if p < 0.05 else "not significant"
+        lines.append(f"paired t-test on MAE: t = {t:.4f}, p = {p:.4g} ({verdict})")
     if rate_line:
         lines.append(rate_line)
     print("\n".join(lines))

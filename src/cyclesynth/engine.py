@@ -160,97 +160,60 @@ def _reduce_to(g, shape):
     return np.asarray(g.sum(), dtype=g.dtype).reshape(shape)
 
 
+def _record(data, parents, *grads):
+    """The node of a simple op: its backward gives each parent k that requires
+    grad grads[k](g), in parent order."""
+
+    def bwd(g):
+        for p, grad in zip(parents, grads):
+            if p.requires_grad:
+                p._accumulate(grad(g))
+
+    return Tensor._result(data, parents, bwd)
+
+
 # -- elementwise ops ----------------------------------------------------------
 
 
 def add(a, b):
     _check_binary_shapes(a, b, "add")
-    data = a.data + b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_reduce_to(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_reduce_to(g, b.data.shape))
-
-    return Tensor._result(data, (a, b), bwd)
+    return _record(a.data + b.data, (a, b), lambda g: _reduce_to(g, a.data.shape),
+                   lambda g: _reduce_to(g, b.data.shape))
 
 
 def sub(a, b):
     _check_binary_shapes(a, b, "sub")
-    data = a.data - b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_reduce_to(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_reduce_to(-g, b.data.shape))
-
-    return Tensor._result(data, (a, b), bwd)
+    return _record(a.data - b.data, (a, b), lambda g: _reduce_to(g, a.data.shape),
+                   lambda g: _reduce_to(-g, b.data.shape))
 
 
 def mul(a, b):
     _check_binary_shapes(a, b, "mul")
-    data = a.data * b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_reduce_to(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_reduce_to(g * a.data, b.data.shape))
-
-    return Tensor._result(data, (a, b), bwd)
+    return _record(a.data * b.data, (a, b), lambda g: _reduce_to(g * b.data, a.data.shape),
+                   lambda g: _reduce_to(g * a.data, b.data.shape))
 
 
 def square(a):
-    data = a.data * a.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g * (2.0 * a.data))
-
-    return Tensor._result(data, (a,), bwd)
+    return _record(a.data * a.data, (a,), lambda g: g * (2.0 * a.data))
 
 
 def absolute(a):
-    data = np.abs(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g * np.sign(a.data))
-
-    return Tensor._result(data, (a,), bwd)
+    return _record(np.abs(a.data), (a,), lambda g: g * np.sign(a.data))
 
 
 def tanh(a):
     data = np.tanh(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - data * data))
-
-    return Tensor._result(data, (a,), bwd)
+    return _record(data, (a,), lambda g: g * (1.0 - data * data))
 
 
 def relu(a):
-    data = np.maximum(a.data, 0.0)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > 0.0))
-
-    return Tensor._result(data, (a,), bwd)
+    return _record(np.maximum(a.data, 0.0), (a,), lambda g: g * (a.data > 0.0))
 
 
 def leaky_relu(a, slope=0.2):
     pos = a.data > 0.0
-    data = np.where(pos, a.data, a.data * slope).astype(a.data.dtype)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g * np.where(pos, 1.0, slope).astype(g.dtype))
-
-    return Tensor._result(data, (a,), bwd)
+    return _record(np.where(pos, a.data, a.data * slope).astype(a.data.dtype), (a,),
+                   lambda g: g * np.where(pos, 1.0, slope).astype(g.dtype))
 
 
 # -- reductions ---------------------------------------------------------------
@@ -259,26 +222,16 @@ def leaky_relu(a, slope=0.2):
 def tsum(a):
     if a.data.size == 0:
         raise EmptyTensorError("sum of empty tensor")
-    data = np.asarray(a.data.sum(), dtype=a.data.dtype)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(np.full(a.data.shape, g, dtype=a.data.dtype))
-
-    return Tensor._result(data, (a,), bwd)
+    return _record(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,),
+                   lambda g: np.full(a.data.shape, g, dtype=a.data.dtype))
 
 
 def tmean(a):
     if a.data.size == 0:
         raise EmptyTensorError("mean of empty tensor")
     inv = 1.0 / a.data.size
-    data = np.asarray(a.data.sum() * inv, dtype=a.data.dtype)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(np.full(a.data.shape, g * inv, dtype=a.data.dtype))
-
-    return Tensor._result(data, (a,), bwd)
+    return _record(np.asarray(a.data.sum() * inv, dtype=a.data.dtype), (a,),
+                   lambda g: np.full(a.data.shape, g * inv, dtype=a.data.dtype))
 
 
 # -- batch split ----------------------------------------------------------------
@@ -290,13 +243,12 @@ def split_batch(a, n):
         raise ShapeError(f"split_batch: cannot split shape {a.data.shape} at {n}")
 
     def part(rows):
-        def bwd(g):
-            if a.requires_grad:
-                full = np.zeros_like(a.data)
-                full[rows] = g
-                a._accumulate(full)
+        def grad(g):
+            full = np.zeros_like(a.data)
+            full[rows] = g
+            return full
 
-        return Tensor._result(a.data[rows], (a,), bwd)
+        return _record(a.data[rows], (a,), grad)
 
     return part(slice(None, n)), part(slice(n, None))
 

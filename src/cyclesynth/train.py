@@ -76,18 +76,13 @@ class TrainConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 problems.append(f"{name} must be finite and >= 0, got {value}")
-        if self.fixed_epochs < 0 or self.decay_epochs < 0:
-            problems.append("epoch counts must be >= 0")
-        if self.batch_size < 1:
-            problems.append("batch_size must be >= 1")
-        if self.image_pool_size < 1:
-            problems.append("image_pool_size must be >= 1")
-        if self.width_f < 1 or self.width_d < 1:
-            problems.append("network widths must be >= 1")
+        for name, low in (("fixed_epochs", 0), ("decay_epochs", 0), ("batch_size", 1),
+                          ("image_pool_size", 1), ("seed", 0), ("width_f", 1),
+                          ("width_d", 1), ("checkpoint_every", 1)):
+            if getattr(self, name) < low:
+                problems.append(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.crop_size is not None and (self.crop_size < 4 or self.crop_size % 4):
             problems.append("crop_size must be a positive multiple of 4")
-        if self.checkpoint_every < 1:
-            problems.append("checkpoint_every must be >= 1")
         if problems:
             raise ValueError("invalid training config: " + "; ".join(problems))
         return self
@@ -180,6 +175,22 @@ def _dis_loss(net, real, fake):
     return loss_dis(*engine.split_batch(score, len(real)))
 
 
+def _update(nets, opts, names, loss, lr):
+    """Clear every network's gradients, backpropagate loss and Adam-step the named networks."""
+    for net in nets.values():
+        net.zero_grad()
+    engine.backward(loss)
+    for name in names:
+        adam_step(nets[name], opts[name], lr)
+
+
+def _dis_update(nets, opts, name, real, fake, lr):
+    """One update of discriminator `name` on real versus (detached) fake; returns its loss."""
+    loss = _check_finite(name, _dis_loss(nets[name], real, fake))
+    _update(nets, opts, (name,), loss, lr)
+    return loss.item()
+
+
 def train_step_unpaired(i_mr, i_ct, nets, opts, pool_ct, pool_mr, cfg, lr,
                         pool_rng_ct, pool_rng_mr):
     """One generator update and two discriminator updates; returns the breakdown."""
@@ -198,12 +209,7 @@ def train_step_unpaired(i_mr, i_ct, nets, opts, pool_ct, pool_mr, cfg, lr,
         g_adv_mr = _check_finite("g_adv_mr", loss_gen_adv(discriminator_forward(d_mr, fake_mr)))
         cyc = _check_finite("cycle", loss_cycle(i_mr, rec_mr, i_ct, rec_ct))
         total_g = total_generator_loss(g_adv_ct, g_adv_mr, cyc, cfg.lam)
-
-        for net in nets.values():
-            net.zero_grad()
-        engine.backward(total_g)
-    adam_step(g_mr2ct, opts["g_mr2ct"], lr)
-    adam_step(g_ct2mr, opts["g_ct2mr"], lr)
+        _update(nets, opts, ("g_mr2ct", "g_ct2mr"), total_g, lr)
 
     # discriminators train on detached fakes routed through the pools
     fake_ct_d = fake_ct.data
@@ -211,25 +217,13 @@ def train_step_unpaired(i_mr, i_ct, nets, opts, pool_ct, pool_mr, cfg, lr,
     if cfg.use_pool:
         fake_ct_d = pool_ct.query(fake_ct_d, pool_rng_ct)
         fake_mr_d = pool_mr.query(fake_mr_d, pool_rng_mr)
+    d_ct_v = _dis_update(nets, opts, "d_ct", i_ct.data, fake_ct_d, lr)
+    d_mr_v = _dis_update(nets, opts, "d_mr", i_mr.data, fake_mr_d, lr)
 
-    d_ct.zero_grad()
-    d_ct_loss = _check_finite("d_ct", _dis_loss(d_ct, i_ct.data, fake_ct_d))
-    engine.backward(d_ct_loss)
-    adam_step(d_ct, opts["d_ct"], lr)
-
-    d_mr.zero_grad()
-    d_mr_loss = _check_finite("d_mr", _dis_loss(d_mr, i_mr.data, fake_mr_d))
-    engine.backward(d_mr_loss)
-    adam_step(d_mr, opts["d_mr"], lr)
-
-    g_ct = g_adv_ct.item()
-    g_mr = g_adv_mr.item()
-    c = cyc.item()
-    return LossBreakdown(
-        d_ct=d_ct_loss.item(), d_mr=d_mr_loss.item(),
-        g_adv_ct=g_ct, g_adv_mr=g_mr, cycle=c, lam=cfg.lam,
-        total_g=g_ct + g_mr + cfg.lam * c,
-        total_d=d_ct_loss.item() + d_mr_loss.item())
+    g_ct, g_mr, c = g_adv_ct.item(), g_adv_mr.item(), cyc.item()
+    return LossBreakdown(d_ct=d_ct_v, d_mr=d_mr_v, g_adv_ct=g_ct, g_adv_mr=g_mr, cycle=c,
+                         lam=cfg.lam, total_g=g_ct + g_mr + cfg.lam * c,
+                         total_d=d_ct_v + d_mr_v)
 
 
 def train_step_paired(i_mr, i_ct_aligned, nets, opts, cfg, lr):
@@ -244,23 +238,15 @@ def train_step_paired(i_mr, i_ct_aligned, nets, opts, cfg, lr):
         adv = _check_finite("g_adv_ct", loss_gen_adv(score_fake))
         gen_loss = _check_finite("paired", loss_paired(fake_ct, i_ct_aligned, score_fake,
                                                        mu=cfg.mu))
-        for net in nets.values():
-            net.zero_grad()
-        engine.backward(gen_loss)
-    adam_step(g_mr2ct, opts["g_mr2ct"], lr)
-
-    d_ct.zero_grad()
-    d_loss = _check_finite("d_ct", _dis_loss(d_ct, i_ct_aligned.data, fake_ct.data))
-    engine.backward(d_loss)
-    adam_step(d_ct, opts["d_ct"], lr)
+        _update(nets, opts, ("g_mr2ct",), gen_loss, lr)
+    d_v = _dis_update(nets, opts, "d_ct", i_ct_aligned.data, fake_ct.data, lr)
 
     adv_v = adv.item()
     gen_v = gen_loss.item()
     # cycle column carries the unweighted voxel L1 so the log stays one schema
     l1 = (gen_v - adv_v) / cfg.mu if cfg.mu > 0 else 0.0
-    return LossBreakdown(d_ct=d_loss.item(), d_mr=0.0, g_adv_ct=adv_v,
-                         g_adv_mr=0.0, cycle=l1, lam=cfg.mu,
-                         total_g=gen_v, total_d=d_loss.item())
+    return LossBreakdown(d_ct=d_v, d_mr=0.0, g_adv_ct=adv_v, g_adv_mr=0.0, cycle=l1,
+                         lam=cfg.mu, total_g=gen_v, total_d=d_v)
 
 
 # -- dataset plumbing -----------------------------------------------------
@@ -294,12 +280,17 @@ def _fix_same_volume_pairs(mr_seq, ct_seq):
 
 
 def _crop_plan(volumes, cfg):
+    """The training crop: crop_size, or the side of square slices. Every slice must
+    fit in the crop plus its pad margin, which random crops pad it to."""
     h, w = volumes[0].dims[1], volumes[0].dims[2]
-    if cfg.crop_size is not None:
-        return cfg.crop_size
-    if h != w:
+    if cfg.crop_size is None and h != w:
         raise ValueError(f"crop_size must be set for non-square slices ({h}x{w})")
-    return h
+    crop = h if cfg.crop_size is None else cfg.crop_size
+    side = max(max(v.dims[1:]) for v in volumes)
+    if side > crop + pad_margin(crop):
+        raise ValueError(f"crop_size {crop} plus its pad margin {pad_margin(crop)} is "
+                         f"below the largest slice side {side}")
+    return crop
 
 
 def _batch_tensor(vols, seq, crop, rng):
@@ -389,6 +380,7 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
         for a, b in zip(mr_vols, ct_vols):
             if a.dims != b.dims:
                 raise ValueError(f"paired volumes must share dims: {a.dims} vs {b.dims}")
+    crop = _crop_plan(mr_vols + ct_vols, cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -431,7 +423,6 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
 
     mr_index = _slice_index(mr_vols)
     ct_index = _slice_index(ct_vols)
-    crop = _crop_plan(mr_vols + ct_vols, cfg)
     schedule = cfg.schedule()
     total = cfg.total_epochs
 

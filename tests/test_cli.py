@@ -1,7 +1,9 @@
 """Command line behavior: exit codes, artifacts, determinism."""
 
+import contextlib
 import dataclasses
 import gc
+import io
 import json
 import os
 import re
@@ -12,6 +14,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclesynth import cli, data, selfcheck
 from cyclesynth.checkpoint import read_checkpoint, write_checkpoint
@@ -104,6 +108,8 @@ def test_phantom_rejects_zero_volumes(tmp_path, capsys):
     pytest.param(["--size", "0x0"], "--size", id="size-0x0"),
     pytest.param(["--size", "64x0"], "--size", id="size-64x0"),
     pytest.param(["--slices", "0"], "--slices", id="slices-0"),
+    pytest.param(["--seed", "-1"], "--seed", id="seed--1"),
+    pytest.param(["--shape-seed", "-1"], "--shape-seed", id="shape-seed--1"),
 ])
 def test_phantom_rejects_empty_geometry_before_writing(tmp_path, capsys, flags, flag):
     out = tmp_path / "ph"
@@ -165,6 +171,78 @@ def test_train_rejects_non_finite_or_negative_weights(phantom32, tmp_path, capsy
     assert err.startswith("error: invalid training config:")
     assert f"{field} must be finite and >= 0, got {float(value)}" in err
     assert not (out / "manifest.json").exists()
+
+
+def test_train_rejects_negative_seed_before_writing(phantom32, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli.main(["train", "--data", str(phantom32), "--out", str(out),
+                     "--epochs-fixed", "0", "--epochs-decay", "0", "--width-f", "4",
+                     "--width-d", "4", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == \
+        "error: invalid training config: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_train_rejects_crop_below_the_slices_before_writing(phantom32, tmp_path, capsys):
+    # 32x32 slices do not fit a crop of 24 padded by its margin of 2
+    out = tmp_path / "o"
+    assert cli.main(["train", "--data", str(phantom32), "--out", str(out),
+                     "--epochs-fixed", "1", "--epochs-decay", "0", "--width-f", "4",
+                     "--width-d", "4", "--crop", "24"]) == 2
+    assert capsys.readouterr().err == ("error: crop_size 24 plus its pad margin 2 is below "
+                                       "the largest slice side 32\n")
+    assert not out.exists()
+
+
+# numeric flags, each with the text that names it in an exit-2 message: the flag
+# itself or its config field
+PHANTOM_FLAGS = {"--volumes": "--volumes", "--slices": "--slices",
+                 "--misalign-px": "max_shift_px", "--misalign-prob": "shift_probability",
+                 "--seed": "--seed", "--shape-seed": "--shape-seed"}
+TRAIN_FLAGS = {"--epochs-fixed": "fixed_epochs", "--epochs-decay": "decay_epochs",
+               "--lambda": "lam", "--mu": "mu", "--lr": "base_lr", "--batch": "batch_size",
+               "--width-f": "width_f", "--width-d": "width_d", "--crop": "crop_size",
+               "--pool-size": "image_pool_size", "--checkpoint-every": "checkpoint_every",
+               "--limit-volumes": "--limit-volumes", "--seed": "seed"}
+
+
+def _edge_values(flags):
+    return st.tuples(st.just(flags), st.dictionaries(
+        st.sampled_from(sorted(flags)), st.sampled_from(["0", "-1", "nan", "inf"]),
+        min_size=1, max_size=2))
+
+
+@pytest.fixture(scope="module")
+def phantom1(tmp_path_factory):
+    out = tmp_path_factory.mktemp("p1") / "data"
+    assert cli.main(["phantom", "--out", str(out), "--volumes", "1",
+                     "--slices", "1", "--size", "32x32"]) == 0
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.one_of(_edge_values(PHANTOM_FLAGS), _edge_values(TRAIN_FLAGS)))
+def test_edge_flag_values_end_in_a_documented_exit(phantom1, tmp_path_factory, case):
+    """0, -1, nan and inf on the numeric flags of a tiny phantom or train run end in
+    exit 0-3 without a traceback, and an exit 2 prints one error line naming the flag."""
+    flags, values = case
+    out = tmp_path_factory.mktemp("edge") / "o"
+    if flags is PHANTOM_FLAGS:
+        argv = ["phantom", "--out", str(out), "--volumes", "1", "--slices", "1",
+                "--size", "32x32"]
+    else:
+        argv = ["train", "--data", str(phantom1), "--out", str(out), "--epochs-fixed", "1",
+                "--epochs-decay", "0", "--width-f", "4", "--width-d", "4"]
+    for flag, value in values.items():
+        argv += [flag, value]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    err = err.getvalue()
+    assert rc in (0, 1, 2, 3) and "Traceback" not in err
+    if rc == 2:
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert any(flags[flag] in err for flag in values), err
 
 
 def test_train_invalid_config(workspace, tmp_path):
@@ -447,12 +525,10 @@ def test_eval_holds_a_real_volume_only_until_its_last_run(workspace, tmp_path,
     monkeypatch.setattr(data, "load_volume", load)
     argv = ["eval", "--real", str(real), "--synth", str(run_a), "--mask-from", "compute"]
     assert cli.main(argv + (["--synth-b", str(run_b)] if synth_b else [])) == 0
-    if synth_b:
-        # run A keeps every real volume for run B, which lets each go once scored
-        assert [n for d, n in seen if d == "a"] == [1, 2]
-        assert [n for d, n in seen if d == "b"] == [2, 1]
-    else:
-        assert [n for d, n in seen] == [0, 1, 1, 1]
+    # one real volume at a time: each is scored against its A (and B) volume before
+    # the next is read, so at most one is alive at every load, however many there are
+    runs = ["real", "a", "b"] if synth_b else ["real", "a"]
+    assert seen == [(d, int(i + k > 0)) for i in range(2) for k, d in enumerate(runs)]
 
 
 def test_eval_error_map(workspace, tmp_path):

@@ -70,6 +70,7 @@ def test_config_roundtrip():
     dict(crop_size=30),
     dict(width_f=0),
     dict(checkpoint_every=0),
+    dict(seed=-1),
 ])
 def test_config_rejects(bad):
     with pytest.raises(ValueError, match="invalid training config"):
@@ -355,10 +356,16 @@ def test_paired_batch_shares_crop_offsets():
 def test_crop_plan():
     vols = [ramp_volume("MR", 1, 24)]
     assert train._crop_plan(vols, tiny_config()) == 24
-    assert train._crop_plan(vols, tiny_config(crop_size=8)) == 8
+    # a 26x26 slice fits crop 24 padded by its margin of 2
+    assert train._crop_plan([ramp_volume("MR", 1, 26)], tiny_config(crop_size=24)) == 24
     uneven = [data.make_volume("MR", np.zeros((1, 24, 28), np.uint8))]
     with pytest.raises(ValueError, match="crop_size"):
         train._crop_plan(uneven, tiny_config())
+    # crop 8 pads by 0, so a 24x24 slice (or a larger second volume) cannot fit
+    with pytest.raises(ValueError, match="crop_size 8 plus its pad margin 0 is below"):
+        train._crop_plan(vols, tiny_config(crop_size=8))
+    with pytest.raises(ValueError, match="largest slice side 28"):
+        train._crop_plan(vols + [ramp_volume("CT", 1, 28)], tiny_config(crop_size=24))
 
 
 # -- run_training ---------------------------------------------------------
