@@ -5,13 +5,18 @@ little-endian manifest length + JSON manifest + tightly packed
 little-endian float32 payload. The manifest carries an ordered entry list
 (name, shape, dtype, offset) plus a free-form JSON meta block for scalars
 like the epoch counter and the run config. Round-trips are bitwise exact.
+Both directions stream one entry at a time: a write hands each array's own
+buffer to the file and a read fills each entry's array in place, so neither
+holds a second copy of the payload.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .data import HeaderError, TruncatedError, read_framed, write_framed
+from .data import HeaderError, TruncatedError, read_header, read_into, write_framed
 
 CKPT_MAGIC = b"CSYN1"
 
@@ -28,7 +33,7 @@ def write_checkpoint(path, arrays, meta=None):
         arr = np.ascontiguousarray(arr, dtype="<f4")
         entries.append({"name": str(name), "shape": list(arr.shape),
                         "dtype": "f32", "offset": offset})
-        chunks.append(arr.tobytes())
+        chunks.append(arr.reshape(-1).view(np.uint8))
         offset += arr.nbytes
     manifest = {"meta": meta if meta is not None else {}, "entries": entries}
     write_framed(path, CKPT_MAGIC, manifest, chunks)
@@ -36,36 +41,38 @@ def write_checkpoint(path, arrays, meta=None):
 
 def read_checkpoint(path):
     """Return (arrays, meta); arrays is an ordered name -> float32 ndarray dict."""
-    manifest, raw, payload_off = read_framed(path, CKPT_MAGIC)
-    try:
-        meta = manifest["meta"]
-        entries = manifest["entries"]
-    except (KeyError, TypeError) as e:
-        raise HeaderError(f"{path}: unreadable manifest: {e}") from e
-
-    arrays = {}
-    expect = 0
-    for ent in entries:
+    with open(path, "rb") as f:
+        manifest, payload = read_header(f, path, CKPT_MAGIC)
         try:
-            name = ent["name"]
-            shape = tuple(int(d) for d in ent["shape"])
-            dtype = ent["dtype"]
-            eoff = int(ent["offset"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise HeaderError(f"{path}: malformed entry {ent!r}: {e}") from e
-        if dtype != "f32":
-            raise HeaderError(f"{path}: entry {name!r} has dtype {dtype!r}, only f32 is defined")
-        if eoff != expect:
-            raise HeaderError(
-                f"{path}: entry {name!r} offset {eoff} breaks tight packing (expected {expect})")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 4
-        if payload_off + eoff + nbytes > len(raw):
-            raise TruncatedError(f"{path}: entry {name!r} extends past end of file")
-        arrays[name] = np.frombuffer(
-            raw, dtype="<f4", count=nbytes // 4,
-            offset=payload_off + eoff).reshape(shape).copy()
-        expect += nbytes
-    if payload_off + expect != len(raw):
+            meta = manifest["meta"]
+            entries = manifest["entries"]
+        except (KeyError, TypeError) as e:
+            raise HeaderError(f"{path}: unreadable manifest: {e}") from e
+
+        arrays = {}
+        expect = 0
+        for ent in entries:
+            try:
+                name = ent["name"]
+                shape = tuple(int(d) for d in ent["shape"])
+                dtype = ent["dtype"]
+                eoff = int(ent["offset"])
+                if min(shape, default=0) < 0:
+                    raise ValueError(f"negative dimension in {shape}")
+            except (KeyError, TypeError, ValueError) as e:
+                raise HeaderError(f"{path}: malformed entry {ent!r}: {e}") from e
+            if dtype != "f32":
+                raise HeaderError(f"{path}: entry {name!r} has dtype {dtype!r}, only f32 is defined")
+            if eoff != expect:
+                raise HeaderError(
+                    f"{path}: entry {name!r} offset {eoff} breaks tight packing (expected {expect})")
+            nbytes = math.prod(shape) * 4
+            if eoff + nbytes > payload:
+                raise TruncatedError(f"{path}: entry {name!r} extends past end of file")
+            arrays[name] = np.empty(shape, dtype="<f4")
+            read_into(f, path, arrays[name], f"entry {name!r}")
+            expect += nbytes
+    if expect != payload:
         raise HeaderError(
-            f"{path}: {len(raw) - payload_off - expect} trailing bytes beyond declared payload")
+            f"{path}: {payload - expect} trailing bytes beyond declared payload")
     return arrays, meta

@@ -160,18 +160,30 @@ def load_generator(ckpt_path, direction):
         raise ValueError(
             f"checkpoint {ckpt_path} has no {net_key} network "
             f"(mode {meta.get('config', {}).get('mode')!r})")
+    except ValueError as e:
+        raise ValueError(f"checkpoint {ckpt_path}: {e}") from e
     return group, accepted, out_modality
 
 
-def synthesize_volume(group, vol, out_modality, chunk=8):
-    """Push every slice through a generator; returns the synthesized volume."""
-    planes = data.to_model_range(vol.voxels)
-    out_slices = []
+# pixels per generator call: 8 slices of 64x64. A call's largest transient, the
+# stem's im2col columns, grows with its pixels (8 slices of 512x512 would build
+# 411 MB of them), so larger slices go in fewer per call, alone from 256x256 up.
+INFER_PIXELS = 8 * 64 * 64
+
+
+def synthesize_volume(group, vol, out_modality):
+    """Push every slice through a generator; returns the synthesized volume.
+
+    Each call takes max(1, INFER_PIXELS // (H*W)) slices. Instance norm is per
+    sample, so the split never changes the output.
+    """
+    n, h, w = vol.dims
+    step = max(1, INFER_PIXELS // (h * w))
+    synth = np.empty(vol.dims, dtype=np.uint8)
     with engine.no_grad():
-        for k in range(0, planes.shape[0], chunk):
-            batch = engine.Tensor(planes[k:k + chunk][:, None, :, :])
-            out_slices.append(generator_forward(group, batch).data[:, 0])
-    synth = data.from_model_range(np.concatenate(out_slices))
+        for k in range(0, n, step):
+            batch = engine.Tensor(data.to_model_range(vol.voxels[k:k + step, None]))
+            synth[k:k + step] = data.from_model_range(generator_forward(group, batch).data[:, 0])
     return data.SliceVolume(modality=out_modality, dims=vol.dims,
                             spacing_mm=vol.spacing_mm,
                             window=data.window_for(out_modality),
@@ -213,33 +225,41 @@ def _collect_pairs(real_path, synth_path):
     return pairs
 
 
-def _mask_for(real, synth, source):
+def _mask_for(real, synth, source, real_path, synth_path):
+    """The mask `source` gives; a volume that cannot give one is named by its file."""
     if source == "compute":
-        return data.head_mask(real)
-    vol = real if source == "real" else synth
+        try:
+            return data.head_mask(real)
+        except ValueError as e:
+            raise ValueError(f"{real_path}: {e}") from e
+    vol, path = (real, real_path) if source == "real" else (synth, synth_path)
     if vol.mask is None:
-        raise ValueError(f"--mask-from {source}: volume carries no mask; "
+        raise ValueError(f"{path}: --mask-from {source}: volume carries no mask; "
                          "use --mask-from compute to derive one")
     return vol.mask
 
 
-def _eval_rows(pairs_a, pairs_b, mask_from, mode):
+def _eval_rows(pairs_a, pairs_b, mask_from, mode, keep_first=False):
     """Rows of run A and, if pairs_b, run B, one real volume at a time: each is read
     once and scored against its A and B volumes, and its real or computed mask is
-    taken at most once. pairs_b, if given, holds the same real paths in order."""
-    rows_a, rows_b = [], []
+    taken at most once. pairs_b, if given, holds the same real paths in order.
+    With keep_first, also returns the first real volume and its A volume (for the
+    error map), else None: no other pair outlives its scoring."""
+    rows_a, rows_b, first = [], [], None
     for k, (vol_id, real_path, synth_a) in enumerate(pairs_a):
         real = data.load_volume(real_path)
         mask = None
         runs = [(rows_a, synth_a)] + ([(rows_b, pairs_b[k][2])] if pairs_b else [])
         for rows, synth_path in runs:
             synth = data.load_volume(synth_path)
+            if keep_first and first is None:
+                first = real, synth
             if mask is None or mask_from == "synth":
-                mask = _mask_for(real, synth, mask_from)
+                mask = _mask_for(real, synth, mask_from, real_path, synth_path)
             mae_v, psnr_v = evalx.score(real, synth, mask, mode=mode)
             rows.append(evalx.EvalRow(id=vol_id, mae_hu=mae_v, psnr_db=psnr_v,
                                       n_voxels=int(np.count_nonzero(mask))))
-    return rows_a, rows_b
+    return rows_a, rows_b, first
 
 
 def _rows_from_csv(path):
@@ -267,7 +287,7 @@ def _rows_from_csv(path):
 
 
 def cmd_eval(args):
-    ttest = rate_line = None
+    ttest = rate_line = first = None
     if args.from_csv:
         rows_a, rows_b = _rows_from_csv(args.from_csv)
     else:
@@ -279,7 +299,8 @@ def cmd_eval(args):
             # head_mask's first call would import scipy inside the timed span
             import scipy.ndimage  # noqa: F401
         start = time.perf_counter()
-        rows_a, rows_b = _eval_rows(pairs_a, pairs_b, args.mask_from, args.psnr_mode)
+        rows_a, rows_b, first = _eval_rows(pairs_a, pairs_b, args.mask_from,
+                                           args.psnr_mode, keep_first=bool(args.error_map))
         scored = len(pairs_a) + len(pairs_b)
         rate = scored / (time.perf_counter() - start)
         rate_line = f"evaluated {scored} volumes ({rate:.1f} volumes/s)"
@@ -311,9 +332,7 @@ def cmd_eval(args):
     if args.error_map:
         if args.from_csv or not args.real:
             raise ValueError("--error-map needs volume inputs, not --from-csv")
-        _, rp, sp = pairs_a[0]
-        emap = evalx.error_map(data.load_volume(rp), data.load_volume(sp))
-        data.save_volume(emap, args.error_map)
+        data.save_volume(evalx.error_map(*first), args.error_map)
     return 0
 
 

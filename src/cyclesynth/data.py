@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -376,7 +377,8 @@ def phantom_generate(spec, seed=0):
 
 
 def write_atomic(path, chunks):
-    """Write byte chunks to a temp file beside path, then os.replace it onto path.
+    """Write chunks (bytes, or array buffers such as `arr.view(np.uint8)`, written
+    without a copy) to a temp file beside path, then os.replace it onto path.
 
     A write that raises leaves the previous file at path (or none) and
     removes its temp file; path never holds a partly written file.
@@ -399,23 +401,34 @@ def write_framed(path, magic, header, payload):
     write_atomic(path, [magic, struct.pack("<I", len(blob)), blob, *payload])
 
 
-def read_framed(path, magic):
-    """Check prefix, magic, header length and JSON; return (header, raw, payload_offset)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(magic) + 4:
-        raise TruncatedError(f"{path}: file shorter than the fixed prefix")
-    if raw[:len(magic)] != magic:
-        raise BadMagicError(f"{path}: bad magic {raw[:len(magic)]!r}")
-    (hlen,) = struct.unpack_from("<I", raw, len(magic))
+def read_header(f, path, magic):
+    """Check prefix, magic, header length and JSON of the framed file open as f.
+
+    Reads only the prefix and the header; returns (header, payload_bytes) with f
+    at the payload, whose size comes from os.fstat.
+    """
+    size = os.fstat(f.fileno()).st_size
     off = len(magic) + 4
-    if len(raw) < off + hlen:
+    prefix = f.read(off)
+    if len(prefix) < off:
+        raise TruncatedError(f"{path}: file shorter than the fixed prefix")
+    if prefix[:len(magic)] != magic:
+        raise BadMagicError(f"{path}: bad magic {prefix[:len(magic)]!r}")
+    (hlen,) = struct.unpack_from("<I", prefix, len(magic))
+    blob = f.read(hlen) if size >= off + hlen else b""
+    if len(blob) < hlen:
         raise TruncatedError(f"{path}: header length {hlen} exceeds file size")
     try:
-        header = json.loads(raw[off:off + hlen].decode())
+        header = json.loads(blob.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise HeaderError(f"{path}: unreadable header: {e}") from e
-    return header, raw, off + hlen
+    return header, size - off - hlen
+
+
+def read_into(f, path, arr, what):
+    """Fill the contiguous array arr with the next arr.nbytes bytes of f, in place."""
+    if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+        raise TruncatedError(f"{path}: {what} ends before its {arr.nbytes} bytes")
 
 
 def save_volume(volume, path):
@@ -426,41 +439,46 @@ def save_volume(volume, path):
         "window": list(volume.window),
         "has_mask": volume.mask is not None,
     }
-    payload = [volume.voxels.tobytes()]
+    payload = [volume.voxels.reshape(-1)]
     if volume.mask is not None:
-        payload.append(volume.mask.astype(np.uint8).tobytes())
+        payload.append(volume.mask.reshape(-1).view(np.uint8))
     write_framed(path, SVOL_MAGIC, header, payload)
 
 
 def load_volume(path):
-    header, raw, off = read_framed(path, SVOL_MAGIC)
-    try:
-        dims = tuple(int(d) for d in header["dims"])
-        spacing = tuple(float(x) for x in header["spacing_mm"])
-        window = tuple(float(x) for x in header["window"])
-        modality = header["modality"]
-        has_mask = bool(header["has_mask"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise HeaderError(f"{path}: malformed header fields: {e}") from e
-    if len(dims) != 3:
-        raise HeaderError(f"{path}: dims must have three entries, got {dims}")
+    with open(path, "rb") as f:
+        header, payload = read_header(f, path, SVOL_MAGIC)
+        try:
+            dims = tuple(int(d) for d in header["dims"])
+            spacing = tuple(float(x) for x in header["spacing_mm"])
+            window = tuple(float(x) for x in header["window"])
+            modality = header["modality"]
+            has_mask = bool(header["has_mask"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise HeaderError(f"{path}: malformed header fields: {e}") from e
+        if len(dims) != 3:
+            raise HeaderError(f"{path}: dims must have three entries, got {dims}")
 
-    nvox = int(np.prod(dims))
-    expected = nvox * (2 if has_mask else 1)
-    if len(raw) - off < expected:
-        raise TruncatedError(
-            f"{path}: payload holds {len(raw) - off} bytes, header promises {expected}")
-    if len(raw) - off > expected:
-        raise HeaderError(
-            f"{path}: {len(raw) - off - expected} trailing bytes beyond declared payload")
+        nvox = math.prod(dims)
+        expected = nvox * (2 if has_mask else 1)
+        if payload < expected:
+            raise TruncatedError(
+                f"{path}: payload holds {payload} bytes, header promises {expected}")
+        if payload > expected:
+            raise HeaderError(
+                f"{path}: {payload - expected} trailing bytes beyond declared payload")
 
-    voxels = np.frombuffer(raw, dtype=np.uint8, count=nvox, offset=off).reshape(dims)
-    mask = None
-    if has_mask:
-        mask = np.frombuffer(raw, dtype=np.uint8, count=nvox,
-                             offset=off + nvox).reshape(dims).astype(bool)
+        # flat until the checks below: a zero-size volume may declare any dims
+        voxels = np.empty(nvox, dtype=np.uint8)
+        read_into(f, path, voxels, "voxels")
+        mask = None
+        if has_mask:
+            mask = np.empty(nvox, dtype=np.uint8)
+            read_into(f, path, mask, "mask")
+            mask = np.not_equal(mask, 0, out=mask.view(bool))
     try:
         return SliceVolume(modality=modality, dims=dims, spacing_mm=spacing,
-                           window=window, voxels=voxels.copy(), mask=mask)
+                           window=window, voxels=voxels.reshape(dims),
+                           mask=None if mask is None else mask.reshape(dims))
     except ValueError as e:
         raise HeaderError(f"{path}: {e}") from e

@@ -7,6 +7,7 @@ for the analytic gradients.
 
 import contextlib
 import resource
+import tracemalloc
 
 import numpy as np
 
@@ -23,6 +24,17 @@ def file_size_limit(nbytes):
         yield
     finally:
         resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+
+
+def traced_peak(fn):
+    """(fn(), peak bytes allocated while it ran). numpy reports its buffers to
+    tracemalloc, so the figure is deterministic."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def central_diff(loss_fn, arrays, t_idx, flat_idx, h):

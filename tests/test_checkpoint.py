@@ -8,7 +8,7 @@ from cyclesynth.checkpoint import read_checkpoint, write_checkpoint
 from cyclesynth.models import init_params
 from cyclesynth.optim import AdamState, adam_step
 
-from helpers import file_size_limit
+from helpers import file_size_limit, traced_peak
 
 
 def sample_arrays():
@@ -71,6 +71,31 @@ class TestRoundTrip:
             assert np.array_equal(back[f"v/{name}"], state.v[name])
 
 
+class TestStreamedIO:
+    """Each entry goes from its own array to the file and back, so neither direction
+    holds a second copy of the payload."""
+
+    def big_arrays(self):
+        rng = np.random.default_rng(4)
+        return {f"net/p{i}": rng.normal(size=(5, 100, 1000)).astype(np.float32)
+                for i in range(5)}  # 10 MB
+
+    def test_write_peak_is_a_sliver_of_the_payload(self, tmp_path):
+        arrays = self.big_arrays()
+        payload = sum(a.nbytes for a in arrays.values())
+        _, peak = traced_peak(lambda: write_checkpoint(tmp_path / "c.csyn", arrays, {}))
+        assert peak < 0.05 * payload, f"write peak {peak / payload:.2f}x the payload"
+
+    def test_read_peak_is_the_arrays_alone(self, tmp_path):
+        arrays = self.big_arrays()
+        payload = sum(a.nbytes for a in arrays.values())
+        write_checkpoint(tmp_path / "c.csyn", arrays, {"epoch": 1})
+        (back, _), peak = traced_peak(lambda: read_checkpoint(tmp_path / "c.csyn"))
+        assert peak <= 1.1 * payload, f"read peak {peak / payload:.2f}x the payload"
+        for name in arrays:
+            assert np.array_equal(back[name], arrays[name])
+
+
 class TestCorruption:
     def write_one(self, tmp_path):
         path = tmp_path / "c.csyn"
@@ -89,6 +114,14 @@ class TestCorruption:
         path = self.write_one(tmp_path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(data.TruncatedError):
+            read_checkpoint(path)
+
+    def test_file_shrunk_after_its_size_was_taken(self, tmp_path, monkeypatch):
+        path = self.write_one(tmp_path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
+        with pytest.raises(data.TruncatedError, match=r"entry 'opt/m/stem.w' ends before its 784 bytes$"):
             read_checkpoint(path)
 
     def test_truncated_manifest(self, tmp_path):
@@ -110,6 +143,14 @@ class TestCorruption:
         # keep manifest length valid: f32 and f64 have equal byte length
         path.write_bytes(raw)
         with pytest.raises(data.HeaderError):
+            read_checkpoint(path)
+
+    def test_negative_dimension_is_a_malformed_entry(self, tmp_path):
+        # one replaced byte turns [14] into [-4]; the JSON and its length stay valid
+        path = tmp_path / "c.csyn"
+        write_checkpoint(path, {"w": np.zeros(14, np.float32)}, {})
+        path.write_bytes(path.read_bytes().replace(b'"shape":[14]', b'"shape":[-4]', 1))
+        with pytest.raises(data.HeaderError, match=rf"^{path}: malformed entry .*negative"):
             read_checkpoint(path)
 
     def test_empty_checkpoint_is_legal(self, tmp_path):

@@ -17,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclesynth import cli, data, selfcheck
+from cyclesynth import cli, data, engine, evalx, selfcheck
 from cyclesynth.checkpoint import read_checkpoint, write_checkpoint
-from cyclesynth.models import param_shapes
+from cyclesynth.models import init_params, param_shapes
+
+from helpers import traced_peak
 
 MAE_A = [70.3, 76.2, 75.5, 75.2, 72.0, 73.0]
 PSNR_A = [31.1, 32.1, 32.9, 32.9, 32.3, 32.5]
@@ -321,6 +323,60 @@ def test_damaged_container_exits_2(workspace, tmp_path, capsys, case, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def tiny_containers(phantom1, tmp_path_factory):
+    """A width-4 generator checkpoint and one-slice 32x32 volumes, intact, plus a
+    scratch directory for damaged copies."""
+    root = tmp_path_factory.mktemp("tiny")
+    assert cli.main(["train", "--data", str(phantom1), "--out", str(root / "run"),
+                     "--epochs-fixed", "0", "--epochs-decay", "0",
+                     "--width-f", "4", "--width-d", "4"]) == 0
+    arrays, meta = read_checkpoint(root / "run" / "ckpt_epoch0.csyn")
+    write_checkpoint(root / "g.csyn", {k: a for k, a in arrays.items()
+                                       if k.startswith("g_mr2ct/")}, meta)
+    (root / "damaged").mkdir()
+    return {"csyn": root / "g.csyn", "mr": phantom1 / "mr_000.svol",
+            "ct": phantom1 / "ct_000.svol", "damaged": root / "damaged"}
+
+
+def _damage(raw, at, byte):
+    """raw cut before byte `at` (byte None), or with one header byte replaced."""
+    if byte is None:
+        return raw[:at % len(raw)]
+    header_end = 9 + int.from_bytes(raw[5:9], "little")
+    at %= header_end
+    return raw[:at] + bytes([byte]) + raw[at + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(role=st.sampled_from(["ckpt", "infer-in", "eval-real", "eval-synth"]),
+       at=st.integers(0, 2**31), byte=st.one_of(st.none(), st.integers(0, 255)))
+def test_damaged_containers_end_in_a_documented_exit(tiny_containers, role, at, byte):
+    """A CSYN1 or SVOL file cut at any byte, or with any one header byte replaced,
+    makes `infer` or `eval` exit 0-3 without a traceback; an exit 2 names the file.
+    (A flipped payload bit still reads silently: the format has no checksum.)"""
+    t = tiny_containers
+    source = t["csyn"] if role == "ckpt" else t["mr"] if role == "infer-in" else t["ct"]
+    bad = t["damaged"] / source.name
+    bad.write_bytes(_damage(source.read_bytes(), at, byte))
+    out = t["damaged"] / "out.svol"
+    argv = {
+        "ckpt": ["infer", "--ckpt", bad, "--in", t["mr"], "--direction", "mr2ct", "--out", out],
+        "infer-in": ["infer", "--ckpt", t["csyn"], "--in", bad, "--direction", "mr2ct",
+                     "--out", out],
+        "eval-real": ["eval", "--real", bad, "--synth", t["ct"], "--mask-from", "compute",
+                      "--error-map", out],
+        "eval-synth": ["eval", "--real", t["ct"], "--synth", bad, "--mask-from", "compute"],
+    }[role]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main([str(a) for a in argv])
+    err = err.getvalue()
+    assert rc in (0, 1, 2, 3) and "Traceback" not in err
+    if rc == 2:
+        assert str(bad) in err, err
+
+
 # -- infer ----------------------------------------------------------------
 
 
@@ -379,6 +435,16 @@ def test_load_generator_takes_checkpoint_arrays(workspace, tmp_path):
         cli.load_generator(tmp_path / "bad.csyn", "mr2ct")
 
 
+def test_infer_checkpoint_of_another_width_names_the_file(workspace, tmp_path, capsys):
+    ckpt = tmp_path / "w5.csyn"
+    raw = (workspace / "run" / "ckpt_epoch1.csyn").read_bytes()
+    ckpt.write_bytes(raw.replace(b'"width_f":4', b'"width_f":5', 1))
+    assert cli.main(["infer", "--ckpt", str(ckpt), "--in", str(workspace / "data" / "mr_000.svol"),
+                     "--direction", "mr2ct", "--out", str(tmp_path / "x.svol")]) == 2
+    assert capsys.readouterr().err == (f"error: checkpoint {ckpt}: parameter stem.w: "
+                                       "shape (4, 1, 7, 7) != (5, 1, 7, 7)\n")
+
+
 def test_infer_roundtrip_volume_is_wellformed(workspace, tmp_path):
     """mr -> ct -> mr through both generators stays a valid volume."""
     fwd = tmp_path / "fwd.svol"
@@ -392,6 +458,37 @@ def test_infer_roundtrip_volume_is_wellformed(workspace, tmp_path):
     vol = data.load_volume(back)
     assert vol.modality == "SYNTH_MR"
     assert np.isfinite(vol.voxels.astype(np.float64)).all()
+
+
+@pytest.mark.parametrize("size,slices,calls", [(64, 8, [8]), (128, 5, [2, 2, 1])])
+def test_synthesize_volume_split_never_changes_bits(monkeypatch, size, slices, calls):
+    """Slices per generator call follow their pixels; the output equals, byte for
+    byte, that of one generator call per slice."""
+    group = init_params("generator", width=16, rng_seed=1)
+    vox = np.random.default_rng(size).integers(0, 256, (slices, size, size), dtype=np.uint8)
+    forward, got = cli.generator_forward, []
+    monkeypatch.setattr(cli, "generator_forward",
+                        lambda g, x: got.append(forward(g, x).data) or engine.Tensor(got[-1]))
+    synth = cli.synthesize_volume(group, data.make_volume("SYNTH_MR", vox), "SYNTH_CT")
+    assert [len(y) for y in got] == calls
+    with engine.no_grad():
+        want = [forward(group, engine.Tensor(data.to_model_range(vox[k:k + 1, None]))).data
+                for k in range(slices)]
+    assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
+    assert synth.voxels.tobytes() == data.from_model_range(np.concatenate(want)[:, 0]).tobytes()
+
+
+def test_synthesize_volume_memory_does_not_grow_with_slices():
+    group = init_params("generator", width=16, rng_seed=0)
+    rng = np.random.default_rng(2)
+
+    def peak(slices):
+        vol = data.make_volume("SYNTH_MR", rng.integers(0, 256, (slices, 128, 128),
+                                                        dtype=np.uint8))
+        return traced_peak(lambda: cli.synthesize_volume(group, vol, "SYNTH_CT"))[1]
+
+    two, eight = peak(2), peak(8)
+    assert eight <= 1.25 * two, f"8 slices peak at {eight / 2**20:.1f} MiB, 2 at {two / 2**20:.1f}"
 
 
 # -- eval -----------------------------------------------------------------
@@ -430,7 +527,23 @@ def test_eval_missing_mask_source(workspace, tmp_path, capsys):
     ct = str(workspace / "data" / "ct_000.svol")
     assert cli.main(["eval", "--real", ct, "--synth", ct,
                      "--mask-from", "real"]) == 2
-    assert "no mask" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {ct}: --mask-from real: volume carries no mask")
+
+
+@pytest.mark.parametrize("mask_from,role,message", [
+    # a window of (-600, -400) HU leaves nothing above the -300 HU head threshold
+    ("compute", "real", "slice 0: no voxels above -300.0 in SYNTH_CT"),
+    ("synth", "synth", "--mask-from synth: volume carries no mask"),
+])
+def test_eval_mask_errors_name_the_file(workspace, tmp_path, capsys, mask_from, role, message):
+    ct = workspace / "data" / "ct_000.svol"
+    low = tmp_path / "low.svol"
+    low.write_bytes(ct.read_bytes().replace(b"1400.0", b"-400.0", 1))
+    paths = {"real": low if mask_from == "compute" else ct, "synth": ct}
+    assert cli.main(["eval", "--real", str(paths["real"]), "--synth", str(paths["synth"]),
+                     "--mask-from", mask_from]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[role]}: {message}") and err.count("\n") == 1, err
 
 
 def test_eval_table1_fixture(tmp_path, capsys):
@@ -538,6 +651,23 @@ def test_eval_error_map(workspace, tmp_path):
                      "--mask-from", "compute", "--error-map", str(emap)]) == 0
     vol = data.load_volume(emap)
     assert np.all(vol.voxels == 0)
+
+
+def test_eval_error_map_reads_each_volume_once(workspace, tmp_path, monkeypatch):
+    real, run_a = tmp_path / "real", tmp_path / "a"
+    for d in (real, run_a):
+        d.mkdir()
+    for i in range(3):
+        shutil.copy(workspace / "data" / f"ct_00{i % 2}.svol", real / f"v{i}.svol")
+        shutil.copy(workspace / "data" / f"ct_00{1 - i % 2}.svol", run_a / f"v{i}.svol")
+    want = evalx.error_map(data.load_volume(real / "v0.svol"), data.load_volume(run_a / "v0.svol"))
+    loads, load_volume = [], data.load_volume
+    monkeypatch.setattr(data, "load_volume", lambda p: loads.append(p) or load_volume(p))
+    emap = tmp_path / "err.svol"
+    assert cli.main(["eval", "--real", str(real), "--synth", str(run_a),
+                     "--mask-from", "compute", "--error-map", str(emap)]) == 0
+    assert len(loads) == 6  # each real and synth volume once; the first pair is kept
+    assert np.array_equal(load_volume(emap).voxels, want.voxels)
 
 
 def test_eval_directory_mismatch(workspace, tmp_path):

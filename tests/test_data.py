@@ -23,7 +23,7 @@ from cyclesynth.data import (
     to_model_range,
 )
 
-from helpers import bfs_largest_component_filled, file_size_limit
+from helpers import bfs_largest_component_filled, file_size_limit, traced_peak
 
 
 class TestQuantize:
@@ -354,6 +354,37 @@ class TestSvolRoundTrip:
             save_volume(self.make_vol(True), path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == [path.name]
+
+    def test_voxels_and_mask_stream_without_a_copy(self, tmp_path):
+        rng = np.random.default_rng(21)
+        vox = rng.integers(0, 256, size=(20, 256, 256), dtype=np.uint8)
+        vol = make_volume("SYNTH_CT", vox, mask=vox > 128)
+        path = tmp_path / "v.svol"
+        payload = 2 * vox.nbytes
+        _, write_peak = traced_peak(lambda: save_volume(vol, path))
+        back, read_peak = traced_peak(lambda: load_volume(path))
+        assert write_peak < 0.05 * payload
+        assert read_peak <= 1.1 * payload
+        assert np.array_equal(back.voxels, vox) and np.array_equal(back.mask, vox > 128)
+
+    def test_mask_bytes_read_as_nonzero(self, tmp_path):
+        path = tmp_path / "v.svol"
+        save_volume(self.make_vol(True), path)
+        raw = bytearray(path.read_bytes())
+        raw[-1] = 7  # a mask byte other than 0 or 1 still means inside
+        path.write_bytes(bytes(raw))
+        back = load_volume(path)
+        assert back.mask.dtype == bool and back.mask[-1, -1, -1]
+        assert back.mask.view(np.uint8)[-1, -1, -1] == 1
+
+    def test_file_shrunk_after_its_size_was_taken(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.svol"
+        save_volume(self.make_vol(True), path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-10])
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
+        with pytest.raises(data.TruncatedError, match=r"mask ends before its 240 bytes$"):
+            load_volume(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "v.svol"
