@@ -256,7 +256,10 @@ def _eval_rows(pairs_a, pairs_b, mask_from, mode, keep_first=False):
                 first = real, synth
             if mask is None or mask_from == "synth":
                 mask = _mask_for(real, synth, mask_from, real_path, synth_path)
-            mae_v, psnr_v = evalx.score(real, synth, mask, mode=mode)
+            try:
+                mae_v, psnr_v = evalx.score(real, synth, mask, mode=mode)
+            except evalx.DimsMismatchError as e:
+                raise evalx.DimsMismatchError(f"{real_path} vs {synth_path}: {e}") from e
             rows.append(evalx.EvalRow(id=vol_id, mae_hu=mae_v, psnr_db=psnr_v,
                                       n_voxels=int(np.count_nonzero(mask))))
     return rows_a, rows_b, first

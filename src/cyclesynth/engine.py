@@ -13,6 +13,12 @@ its gradient, so the tape shrinks as the pass goes. Leaves keep their
 gradients. A spent node raises if a later backward reaches it, so a
 graph cannot be walked twice.
 
+What a node keeps until its backward runs is one rule for every op: its
+parents, its own output, and per-(sample, channel) statistics. Everything
+else the backward needs (conv2d's padded input, instance_norm's centred
+input, leaky_relu's mask) it recomputes with the forward's exact numpy op,
+so each array lives on the tape once and gradients keep their bits.
+
 Broadcasting is deliberately restricted to scalars; channel-wise biases
 and affine parameters are handled inside conv2d / instance_norm, which
 keeps every gradient path explicit and easy to audit.
@@ -211,9 +217,8 @@ def relu(a):
 
 
 def leaky_relu(a, slope=0.2):
-    pos = a.data > 0.0
-    return _record(np.where(pos, a.data, a.data * slope).astype(a.data.dtype), (a,),
-                   lambda g: g * np.where(pos, 1.0, slope).astype(g.dtype))
+    return _record(np.where(a.data > 0.0, a.data, a.data * slope).astype(a.data.dtype), (a,),
+                   lambda g: g * np.where(a.data > 0.0, 1.0, slope).astype(g.dtype))
 
 
 # -- reductions ---------------------------------------------------------------
@@ -409,14 +414,15 @@ def conv2d(x, w, b, stride=1, pad=0, pad_mode="zeros"):
             f"conv2d geometry invalid: input {h}x{wd}, k={k}, stride={stride}, "
             f"pad={pad} gives output {ho}x{wo}")
 
-    # both paths keep only the padded input xp for the backward: the wide path's
-    # Cin*k*k columns (k*k times xp at stride 1) live for its forward GEMM and are
-    # rebuilt from xp for dW, so no column matrix waits on the tape
+    # the node keeps no array of its own: the padded input xp and the wide path's
+    # Cin*k*k columns (k*k times xp at stride 1) live for the forward GEMM only, and
+    # the backward pads x.data again for dW when the weight needs a gradient
     xp = _pad2d(x.data, pad, pad_mode)
     narrow = stride == 1 and cout < cin
     if narrow:
         # narrow side, as in _conv_input_grad: Cout*k*k GEMM rows per sample, then the
-        # k*k shifted windows summed; dW comes from shifted views of xp, no columns.
+        # k*k shifted windows summed; dW comes from shifted views of the input that
+        # backward pads again, no columns.
         # One sample at a time, so the largest buffer is one sample's P.
         wt = w.data.transpose(0, 2, 3, 1).reshape(-1, cin)
         out = np.empty((n, cout, ho, wo), dtype=xp.dtype)
@@ -430,10 +436,11 @@ def conv2d(x, w, b, stride=1, pad=0, pad_mode="zeros"):
 
     def bwd(g):
         if w.requires_grad and narrow:
-            w._accumulate(_narrow_weight_grad(g, xp, k))
+            w._accumulate(_narrow_weight_grad(g, _pad2d(x.data, pad, pad_mode), k))
         elif w.requires_grad:
             g2 = g.transpose(1, 0, 2, 3).reshape(cout, -1)
-            w._accumulate((g2 @ _im2col(xp, k, stride).T).reshape(w.data.shape))
+            cols = _im2col(_pad2d(x.data, pad, pad_mode), k, stride)
+            w._accumulate((g2 @ cols.T).reshape(w.data.shape))
         if b.requires_grad:
             b._accumulate(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
@@ -496,10 +503,11 @@ def instance_norm(x, gamma, beta, eps=1e-5, slope=None):
     optional activation: slope None is none, 0 a ReLU, in (0, 1) a leaky ReLU.
 
     Uses the biased 1/(H*W) variance estimator. One tape node: the per-plane sums
-    are matrix-vector products over the [N*C, H*W] view, and the affine and the
-    activation run in place on the output. For the backward it keeps the centred
-    input, the per-plane 1/std and scale, and the output, whose sign is the
-    activation's mask (out > 0 exactly where its input is, for any slope >= 0).
+    are matrix-vector products over the [N*C, H*W] view, and the centring, the affine
+    and the activation run in place in one buffer, the output. For the backward it
+    keeps only per-plane statistics (mean, 1/std and scale) besides the output, whose
+    sign is the activation's mask (out > 0 exactly where its input is, for any
+    slope >= 0); the backward centres the input again with the same subtraction.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"instance_norm expects [N,C,H,W], got {x.data.shape}")
@@ -512,13 +520,12 @@ def instance_norm(x, gamma, beta, eps=1e-5, slope=None):
     if slope is not None and not 0.0 <= slope < 1.0:
         raise ValueError(f"instance_norm slope must be None or in [0, 1), got {slope}")
     m = h * wd
-    ones = np.ones(m, dtype=x.data.dtype)
     x2 = x.data.reshape(n * c, m)
-    xc = x2 - (x2 @ ones * (1.0 / m))[:, None]
+    mean = (x2 @ np.ones(m, dtype=x2.dtype) * (1.0 / m))[:, None]
+    xc = x2 - mean
     inv_std = 1.0 / np.sqrt(np.einsum("ij,ij->i", xc, xc) * (1.0 / m) + eps)
     scale = (inv_std.reshape(n, c) * gamma.data).reshape(-1, 1)
-    keep = _GRAD_ENABLED and (x.requires_grad or gamma.requires_grad or beta.requires_grad)
-    out = np.multiply(xc, scale, out=None if keep else xc).reshape(n, c, m)
+    out = np.multiply(xc, scale, out=xc).reshape(n, c, m)
     out += beta.data[:, None]
     if slope == 0.0:
         np.maximum(out, 0.0, out=out)
@@ -533,7 +540,9 @@ def instance_norm(x, gamma, beta, eps=1e-5, slope=None):
         elif slope is not None:
             gm = g2 * slope
             np.copyto(gm, g2, where=out.reshape(n * c, m) > 0.0)
-        s1 = gm @ ones                                        # sum of g per plane
+        x2 = x.data.reshape(n * c, m)
+        xc = x2 - mean
+        s1 = gm @ np.ones(m, dtype=x2.dtype)                  # sum of g per plane
         s2 = np.einsum("ij,ij->i", gm, xc) * inv_std          # sum of g * xhat
         if beta.requires_grad:
             beta._accumulate(s1.reshape(n, c).sum(axis=0))
@@ -543,7 +552,7 @@ def instance_norm(x, gamma, beta, eps=1e-5, slope=None):
             # dx = a*g - b*xc - c per plane, with a = gamma/std
             a = scale[:, 0]
             dx = np.multiply(gm, scale, out=None if slope is None else gm)
-            dx -= xc * (a * inv_std * s2 * (1.0 / m))[:, None]
+            dx -= np.multiply(xc, (a * inv_std * s2 * (1.0 / m))[:, None], out=xc)
             dx -= (a * s1 * (1.0 / m))[:, None]
             x._accumulate(dx.reshape(x.data.shape))
 

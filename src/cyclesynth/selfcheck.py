@@ -189,6 +189,11 @@ def op_gradient_checks(rng_seed=0):
         ("instance_norm_leaky",
          _proj_loss(lambda x, g, b: engine.instance_norm(x, g, b, slope=models.LEAKY_SLOPE)),
          _kink_free_norm_inputs(rng, 2, 3, 4, 4) + [u(2, 3, 4, 4)]),
+        # stride 1 with Cout < Cin: the narrow path of the generator head and of c5;
+        # last, so the draws of every earlier check stay as they were
+        ("conv2d_narrow",
+         _proj_loss(lambda x, w, b: engine.conv2d(x, w, b, 1, 1, "reflect")),
+         [u(2, 4, 6, 6), u(2, 4, 3, 3), u(2), u(2, 2, 6, 6)]),
     ]
     return checks
 

@@ -546,6 +546,19 @@ def test_eval_mask_errors_name_the_file(workspace, tmp_path, capsys, mask_from, 
     assert err.startswith(f"error: {paths[role]}: {message}") and err.count("\n") == 1, err
 
 
+def test_eval_dims_mismatch_names_both_files(workspace, tmp_path, capsys):
+    big = tmp_path / "big"
+    cli.main(["phantom", "--out", str(big), "--volumes", "1", "--slices", "1",
+              "--size", "36x36", "--seed", "3"])
+    capsys.readouterr()
+    real, synth = workspace / "data" / "ct_000.svol", big / "ct_000.svol"
+    assert cli.main(["eval", "--real", str(real), "--synth", str(synth),
+                     "--mask-from", "compute"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {real} vs {synth}: volume dims differ: ") \
+        and err.count("\n") == 1, err
+
+
 def test_eval_table1_fixture(tmp_path, capsys):
     csv_path = tmp_path / "fixture.csv"
     lines = ["id,mae_a,psnr_a,mae_b,psnr_b"]
@@ -683,6 +696,7 @@ def test_selfcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "[PASS] grad/conv2d" in out
+    assert "[PASS] grad/conv2d_narrow" in out
     assert "[PASS] mask/head_mask" in out
 
 
@@ -709,6 +723,15 @@ def test_selfcheck_corrupt_instance_norm_fails(capsys):
     for name in ("instance_norm", "instance_norm_relu", "instance_norm_leaky"):
         assert f"[FAIL] grad/{name}" in out
     assert "first failing check: grad/instance_norm\n" in out
+
+
+def test_selfcheck_corrupt_conv2d_fails_every_conv2d_probe(capsys):
+    # the narrow probe (stride 1, Cout < Cin) goes through the same op
+    assert cli.main(["selfcheck", "--probes", "8", "--corrupt-op", "conv2d"]) == 3
+    out = capsys.readouterr().out
+    for name in ("conv2d", "conv2d_stride2", "conv2d_reflect", "conv2d_narrow"):
+        assert f"[FAIL] grad/{name}" in out
+    assert "first failing check: grad/conv2d\n" in out
 
 
 @pytest.mark.parametrize("op", selfcheck.PROBED_OPS)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cyclesynth import engine
+from cyclesynth import engine, selfcheck
 from cyclesynth.engine import Tensor, backward, conv2d, conv_transpose2d, instance_norm
 from cyclesynth.selfcheck import _kink_free_norm_inputs
 
@@ -473,20 +473,88 @@ class TestConsumedTape:
         backward(x)
         np.testing.assert_array_equal(x.grad, [1.0])
 
-    def test_wide_conv_keeps_padded_input_not_columns(self):
+    def test_wide_conv_weight_grad_from_repadded_input_is_exact(self):
         rng = np.random.default_rng(22)
         n, cin, cout, k, size = 2, 4, 6, 3, 8
-        x = T(rng.normal(size=(n, cin, size, size)), grad=True)
-        w = T(rng.normal(size=(cout, cin, k, k)), grad=True)
-        out = conv2d(x, w, T(rng.normal(size=cout), grad=True), stride=1, pad=1)
-        saved = [c.cell_contents for c in out._backward.__closure__
-                 if isinstance(c.cell_contents, np.ndarray)]
-        assert (n, cin, size + 2, size + 2) in [a.shape for a in saved]
-        assert all(a.size != cin * k * k * n * size * size for a in saved)
-        # and the weight gradient rebuilt from the padded input is still exact
         with engine.precision(np.float64):
             gradcheck(lambda ts: engine.tmean(engine.square(conv2d(ts[0], ts[1], ts[2], 1, 1))),
-                      [x.data, w.data, rng.normal(size=cout)], rng, wrt=[1])
+                      [rng.normal(size=(n, cin, size, size)), rng.normal(size=(cout, cin, k, k)),
+                       rng.normal(size=cout)], rng, wrt=[1])
+
+
+def _closure_contents(fn):
+    """The ndarrays and Tensors reachable from fn's closure, through nested closures,
+    tuples and lists; a Tensor is not entered (the test checks it is a parent)."""
+    arrays, tensors, seen, stack = [], [], set(), [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, Tensor):
+            tensors.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif callable(obj):
+            stack.extend(c.cell_contents for c in obj.__closure__ or ())
+    return arrays, tensors
+
+
+def _u(rng, *shape):
+    return T(rng.uniform(-1.0, 1.0, shape), grad=True)
+
+
+# one node per case, every parent requiring grad; each output has more than 8x the
+# elements of a per-(sample, channel) statistic
+KEEP_RULE_CASES = {
+    "add": lambda r: [engine.add(_u(r, 2, 3, 4, 4), _u(r, 2, 3, 4, 4))],
+    "add_scalar": lambda r: [engine.add(_u(r, 2, 3, 4, 4), _u(r, 1))],
+    "sub": lambda r: [engine.sub(_u(r, 2, 3, 4, 4), _u(r, 2, 3, 4, 4))],
+    "mul": lambda r: [engine.mul(_u(r, 2, 3, 4, 4), _u(r, 2, 3, 4, 4))],
+    "mul_scalar": lambda r: [engine.mul(_u(r, 2, 3, 4, 4), _u(r, 1))],
+    "square": lambda r: [engine.square(_u(r, 2, 3, 4, 4))],
+    "absolute": lambda r: [engine.absolute(_u(r, 2, 3, 4, 4))],
+    "tanh": lambda r: [engine.tanh(_u(r, 2, 3, 4, 4))],
+    "relu": lambda r: [engine.relu(_u(r, 2, 3, 4, 4))],
+    "leaky_relu": lambda r: [engine.leaky_relu(_u(r, 2, 3, 4, 4))],
+    "tsum": lambda r: [engine.tsum(_u(r, 2, 3, 4, 4))],
+    "tmean": lambda r: [engine.tmean(_u(r, 2, 3, 4, 4))],
+    "split_batch": lambda r: list(engine.split_batch(_u(r, 4, 3, 4, 4), 1)),
+    "conv2d": lambda r: [conv2d(_u(r, 2, 4, 8, 8), _u(r, 6, 4, 3, 3), _u(r, 6), 1, 1)],
+    "conv2d_stride2_reflect": lambda r: [
+        conv2d(_u(r, 2, 4, 8, 8), _u(r, 6, 4, 4, 4), _u(r, 6), 2, 1, "reflect")],
+    "conv2d_narrow": lambda r: [
+        conv2d(_u(r, 2, 4, 8, 8), _u(r, 2, 4, 3, 3), _u(r, 2), 1, 1, "reflect")],
+    "conv_transpose2d": lambda r: [
+        conv_transpose2d(_u(r, 2, 6, 4, 4), _u(r, 6, 4, 3, 3), _u(r, 4), 2, 1, 1)],
+    "instance_norm": lambda r: [instance_norm(_u(r, 2, 5, 6, 6), _u(r, 5), _u(r, 5))],
+    "instance_norm_relu": lambda r: [
+        instance_norm(_u(r, 2, 5, 6, 6), _u(r, 5), _u(r, 5), slope=0.0)],
+    "instance_norm_leaky": lambda r: [
+        instance_norm(_u(r, 2, 5, 6, 6), _u(r, 5), _u(r, 5), slope=0.2)],
+}
+
+
+def test_keep_rule_cases_cover_every_probed_op():
+    assert set(selfcheck.PROBED_OPS) | {"split_batch"} <= set(KEEP_RULE_CASES)
+
+
+@pytest.mark.parametrize("case", sorted(KEEP_RULE_CASES))
+def test_node_keeps_parents_output_and_statistics_only(case):
+    """What a node's backward closure can reach is a parent's or its own .data (or a
+    view of one) or a per-(sample, channel)-sized statistic; anything else it needs,
+    it recomputes in backward."""
+    for node in KEEP_RULE_CASES[case](np.random.default_rng(23)):
+        assert node._backward is not None
+        own = (node, *node._parents)
+        arrays, tensors = _closure_contents(node._backward)
+        assert all(any(t is o for o in own) for t in tensors)
+        for a in arrays:
+            shared = any(np.shares_memory(a, o.data) for o in own)
+            assert shared or a.size * 8 < node.data.size, \
+                f"{case} keeps a {a.dtype} array of shape {a.shape} for its backward"
 
 
 class TestGradientOracle:
