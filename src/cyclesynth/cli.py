@@ -113,7 +113,7 @@ def cmd_train(args):
 
     mr_paths, mr_vols = _load_modality(args.data, "mr", args.limit_volumes)
     ct_paths, ct_vols = _load_modality(args.data, "ct", args.limit_volumes)
-    train._crop_plan(mr_vols + ct_vols, cfg)  # a crop that cannot work fails before any write
+    train.check_inputs(mr_vols, ct_vols, cfg)  # volumes that cannot train fail before any write
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -184,10 +184,7 @@ def synthesize_volume(group, vol, out_modality):
         for k in range(0, n, step):
             batch = engine.Tensor(data.to_model_range(vol.voxels[k:k + step, None]))
             synth[k:k + step] = data.from_model_range(generator_forward(group, batch).data[:, 0])
-    return data.SliceVolume(modality=out_modality, dims=vol.dims,
-                            spacing_mm=vol.spacing_mm,
-                            window=data.window_for(out_modality),
-                            voxels=synth, mask=vol.mask)
+    return data.SliceVolume(out_modality, synth, spacing_mm=vol.spacing_mm, mask=vol.mask)
 
 
 def cmd_infer(args):
@@ -290,6 +287,8 @@ def _rows_from_csv(path):
 
 
 def cmd_eval(args):
+    if args.error_map and args.from_csv:
+        raise ValueError("--error-map needs volume inputs, not --from-csv")
     ttest = rate_line = first = None
     if args.from_csv:
         rows_a, rows_b = _rows_from_csv(args.from_csv)
@@ -333,8 +332,6 @@ def cmd_eval(args):
         Path(args.report).write_text(payload)
 
     if args.error_map:
-        if args.from_csv or not args.real:
-            raise ValueError("--error-map needs volume inputs, not --from-csv")
         data.save_volume(evalx.error_map(*first), args.error_map)
     return 0
 
@@ -372,37 +369,40 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", metavar="command",
                                 required=True)
 
+    # the defaults are the recipe's, read from the dataclasses that own them
+    spec, cfg = data.PhantomSpec(), train.TrainConfig()
+
     p = sub.add_parser("phantom", help="generate a paired synthetic head dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--volumes", type=int, default=8)
-    p.add_argument("--slices", type=int, default=16)
-    p.add_argument("--size", type=_parse_size, default=(64, 64),
-                   help="slice size as HxW (default 64x64)")
-    p.add_argument("--misalign-px", type=int, default=0)
-    p.add_argument("--misalign-prob", type=float, default=0.0)
+    p.add_argument("--volumes", type=int, default=spec.n_volumes)
+    p.add_argument("--slices", type=int, default=spec.slices_per_volume)
+    p.add_argument("--size", type=_parse_size, default=(spec.height, spec.width),
+                   help=f"slice size as HxW (default {spec.height}x{spec.width})")
+    p.add_argument("--misalign-px", type=int, default=spec.max_shift_px)
+    p.add_argument("--misalign-prob", type=float, default=spec.shift_probability)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shape-seed", type=int, default=0)
+    p.add_argument("--shape-seed", type=int, default=spec.shape_seed)
     p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("train", help="train the translation networks")
     p.add_argument("--data", required=True, help="directory of mr_*/ct_* volumes")
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("unpaired", "paired"), default="unpaired")
-    p.add_argument("--epochs-fixed", type=int, default=100)
-    p.add_argument("--epochs-decay", type=int, default=100)
-    p.add_argument("--lambda", dest="lam", type=float, default=10.0)
-    p.add_argument("--mu", type=float, default=100.0)
-    p.add_argument("--lr", type=float, default=2e-4)
-    p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--width-f", type=int, default=64)
-    p.add_argument("--width-d", type=int, default=64)
-    p.add_argument("--crop", type=int, default=None)
-    p.add_argument("--pool-size", type=int, default=50)
+    p.add_argument("--epochs-fixed", type=int, default=cfg.fixed_epochs)
+    p.add_argument("--epochs-decay", type=int, default=cfg.decay_epochs)
+    p.add_argument("--lambda", dest="lam", type=float, default=cfg.lam)
+    p.add_argument("--mu", type=float, default=cfg.mu)
+    p.add_argument("--lr", type=float, default=cfg.base_lr)
+    p.add_argument("--batch", type=int, default=cfg.batch_size)
+    p.add_argument("--width-f", type=int, default=cfg.width_f)
+    p.add_argument("--width-d", type=int, default=cfg.width_d)
+    p.add_argument("--crop", type=int, default=cfg.crop_size)
+    p.add_argument("--pool-size", type=int, default=cfg.image_pool_size)
     p.add_argument("--no-pool", action="store_true")
-    p.add_argument("--checkpoint-every", type=int, default=25)
+    p.add_argument("--checkpoint-every", type=int, default=cfg.checkpoint_every)
     p.add_argument("--limit-volumes", type=int, default=None,
                    help="use only the first N volumes per modality")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=cfg.seed)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.set_defaults(func=cmd_train)
 

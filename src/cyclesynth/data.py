@@ -69,46 +69,37 @@ class SliceVolume:
     """A quantized slice stack with its acquisition window.
 
     voxels is uint8 [slices, H, W]; mask, when present, is boolean of the
-    same shape and marks the head region.
+    same shape and marks the head region. dims is the voxels' shape, and
+    window defaults to the modality's.
     """
 
     modality: str
-    dims: tuple
-    spacing_mm: tuple
-    window: tuple
     voxels: np.ndarray
+    spacing_mm: tuple = (1.0, 1.0, 1.0)
+    window: tuple | None = None
     mask: np.ndarray | None = None
 
     def __post_init__(self):
         if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality {self.modality!r}")
-        self.dims = tuple(int(d) for d in self.dims)
-        if len(self.dims) != 3 or any(d <= 0 for d in self.dims):
+        self.voxels = np.ascontiguousarray(self.voxels, dtype=np.uint8)
+        if self.voxels.ndim != 3 or 0 in self.dims:
             raise ValueError(f"dims must be three positive ints, got {self.dims}")
         self.spacing_mm = tuple(float(s) for s in self.spacing_mm)
         if len(self.spacing_mm) != 3:
             raise ValueError("spacing_mm must have three entries")
-        lo, hi = window_bounds(self.window)
+        lo, hi = window_bounds(window_for(self.modality) if self.window is None
+                               else self.window)
         self.window = (float(lo), float(hi))
-        self.voxels = np.ascontiguousarray(self.voxels, dtype=np.uint8)
-        if self.voxels.shape != self.dims:
-            raise ValueError(
-                f"voxel shape {self.voxels.shape} does not match dims {self.dims}")
         if self.mask is not None:
             self.mask = np.ascontiguousarray(self.mask, dtype=bool)
             if self.mask.shape != self.dims:
                 raise ValueError(
                     f"mask shape {self.mask.shape} does not match dims {self.dims}")
 
-
-def make_volume(modality, voxels, spacing_mm=(1.0, 1.0, 1.0), window=None, mask=None):
-    """SliceVolume with the modality's standard window unless overridden."""
-    if window is None:
-        window = window_for(modality)
-    voxels = np.asarray(voxels)
-    return SliceVolume(modality=modality, dims=voxels.shape,
-                       spacing_mm=spacing_mm, window=window,
-                       voxels=voxels, mask=mask)
+    @property
+    def dims(self):
+        return self.voxels.shape
 
 
 # -- quantization ---------------------------------------------------------
@@ -368,8 +359,8 @@ def phantom_generate(spec, seed=0):
                 ct_native = np.roll(ct_native, (dy, dx), axis=(0, 1))
             mr_stack[si] = quantize(mr_native, MR_WINDOW)
             ct_stack[si] = quantize(ct_native, CT_WINDOW)
-        mr_vols.append(make_volume("SYNTH_MR", mr_stack))
-        ct_vols.append(make_volume("SYNTH_CT", ct_stack))
+        mr_vols.append(SliceVolume("SYNTH_MR", mr_stack))
+        ct_vols.append(SliceVolume("SYNTH_CT", ct_stack))
     return PhantomSet(mr=mr_vols, ct=ct_vols, shifts=shifts)
 
 
@@ -477,8 +468,7 @@ def load_volume(path):
             read_into(f, path, mask, "mask")
             mask = np.not_equal(mask, 0, out=mask.view(bool))
     try:
-        return SliceVolume(modality=modality, dims=dims, spacing_mm=spacing,
-                           window=window, voxels=voxels.reshape(dims),
-                           mask=None if mask is None else mask.reshape(dims))
+        return SliceVolume(modality, voxels.reshape(dims), spacing_mm=spacing,
+                           window=window, mask=None if mask is None else mask.reshape(dims))
     except ValueError as e:
         raise HeaderError(f"{path}: {e}") from e

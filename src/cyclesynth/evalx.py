@@ -165,9 +165,8 @@ def error_map(real, synth):
     b = data.dequantize(synth.voxels, synth.window)
     span = real.window[1] - real.window[0]
     diff = np.abs(a - b)
-    return data.SliceVolume(modality=real.modality, dims=real.dims,
-                            spacing_mm=real.spacing_mm, window=(0.0, span),
-                            voxels=data.quantize(diff, (0.0, span)))
+    return data.SliceVolume(real.modality, data.quantize(diff, (0.0, span)),
+                            spacing_mm=real.spacing_mm, window=(0.0, span))
 
 
 def _fmt(x, width=10):

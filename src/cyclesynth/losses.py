@@ -19,13 +19,12 @@ from . import engine
 
 @dataclass
 class LossBreakdown:
-    """Per-step scalar loss components for one unpaired training step."""
+    """Per-step scalar loss components of one training step, in loss_log.csv column order."""
     d_ct: float
     d_mr: float
     g_adv_ct: float
     g_adv_mr: float
     cycle: float
-    lam: float
     total_g: float
     total_d: float
 

@@ -31,9 +31,7 @@ DISC_LAYERS = [(4, 2), (4, 2), (4, 2), (4, 1), (4, 1)]
 class ParamGroup:
     """Ordered named tensors for one network."""
 
-    def __init__(self, kind, width):
-        self.kind = kind
-        self.width = width
+    def __init__(self):
         self._tensors: dict[str, Tensor] = {}
 
     def add(self, name, array):
@@ -43,9 +41,6 @@ class ParamGroup:
 
     def __getitem__(self, name):
         return self._tensors[name]
-
-    def __contains__(self, name):
-        return name in self._tensors
 
     def names(self):
         return list(self._tensors)
@@ -78,9 +73,6 @@ class ParamGroup:
 
     def param_count(self):
         return sum(t.data.size for t in self._tensors.values())
-
-    def state_arrays(self):
-        return {name: t.data for name, t in self._tensors.items()}
 
     def load_state_arrays(self, arrays):
         for name, t in self._tensors.items():
@@ -131,7 +123,7 @@ def init_params(kind, width=64, rng_seed=0):
     """
     shapes = param_shapes(kind, width)
     rng = np.random.default_rng(np.random.PCG64(rng_seed))
-    p = ParamGroup(kind, width)
+    p = ParamGroup()
     for name, shape in shapes.items():
         if name.endswith(".w"):
             p.add(name, rng.normal(0.0, INIT_STD, size=shape))
@@ -145,7 +137,7 @@ def params_from_arrays(kind, width, arrays):
 
     Raises KeyError for a missing parameter and ValueError for a wrong shape.
     """
-    p = ParamGroup(kind, width)
+    p = ParamGroup()
     for name, shape in param_shapes(kind, width).items():
         src = arrays[name]
         if src.shape != shape:

@@ -49,24 +49,13 @@ def adam_step(params, state, lr):
         p.data -= (lr / c1) * m / (np.sqrt(v / c2) + EPS)
 
 
-@dataclass
-class LrSchedule:
-    base_lr: float = 2e-4
-    fixed_epochs: int = 100
-    decay_epochs: int = 100
-
-    @property
-    def total_epochs(self):
-        return self.fixed_epochs + self.decay_epochs
-
-
-def lr_at(epoch, schedule):
+def lr_at(epoch, base_lr, fixed_epochs, decay_epochs):
     """Learning rate for an epoch: flat for fixed_epochs, then linear to zero."""
-    total = schedule.fixed_epochs + schedule.decay_epochs
+    total = fixed_epochs + decay_epochs
     if epoch < 0 or epoch > total:
         raise ValueError(f"epoch {epoch} outside schedule range [0, {total}]")
-    if epoch < schedule.fixed_epochs:
-        return schedule.base_lr
-    if schedule.decay_epochs == 0:
+    if epoch < fixed_epochs:
+        return base_lr
+    if decay_epochs == 0:
         return 0.0
-    return schedule.base_lr * (1.0 - (epoch - schedule.fixed_epochs) / schedule.decay_epochs)
+    return base_lr * (1.0 - (epoch - fixed_epochs) / decay_epochs)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .losses import (
     total_generator_loss,
 )
 from .models import discriminator_forward, generator_forward, init_params
-from .optim import AdamState, LrSchedule, adam_step, lr_at
+from .optim import AdamState, adam_step, lr_at
 
 MODES = ("unpaired_cycle", "paired_baseline")
 
@@ -48,7 +48,7 @@ _EPOCH_STREAMS = ("order_mr", "order_ct", "augment", "pool_ct", "pool_mr")
 
 
 class NumericError(RuntimeError):
-    """A loss went non-finite; carries the name of the first bad tensor."""
+    """A loss, parameter or Adam moment went non-finite; carries the name of the first."""
 
 
 @dataclass
@@ -90,17 +90,9 @@ class TrainConfig:
     def to_dict(self):
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d).validate()
-
     @property
     def total_epochs(self):
         return self.fixed_epochs + self.decay_epochs
-
-    def schedule(self):
-        return LrSchedule(base_lr=self.base_lr, fixed_epochs=self.fixed_epochs,
-                          decay_epochs=self.decay_epochs)
 
 
 class ImagePool:
@@ -222,8 +214,7 @@ def train_step_unpaired(i_mr, i_ct, nets, opts, pool_ct, pool_mr, cfg, lr,
 
     g_ct, g_mr, c = g_adv_ct.item(), g_adv_mr.item(), cyc.item()
     return LossBreakdown(d_ct=d_ct_v, d_mr=d_mr_v, g_adv_ct=g_ct, g_adv_mr=g_mr, cycle=c,
-                         lam=cfg.lam, total_g=g_ct + g_mr + cfg.lam * c,
-                         total_d=d_ct_v + d_mr_v)
+                         total_g=g_ct + g_mr + cfg.lam * c, total_d=d_ct_v + d_mr_v)
 
 
 def train_step_paired(i_mr, i_ct_aligned, nets, opts, cfg, lr):
@@ -246,7 +237,7 @@ def train_step_paired(i_mr, i_ct_aligned, nets, opts, cfg, lr):
     # cycle column carries the unweighted voxel L1 so the log stays one schema
     l1 = (gen_v - adv_v) / cfg.mu if cfg.mu > 0 else 0.0
     return LossBreakdown(d_ct=d_v, d_mr=0.0, g_adv_ct=adv_v, g_adv_mr=0.0, cycle=l1,
-                         lam=cfg.mu, total_g=gen_v, total_d=d_v)
+                         total_g=gen_v, total_d=d_v)
 
 
 # -- dataset plumbing -----------------------------------------------------
@@ -279,9 +270,19 @@ def _fix_same_volume_pairs(mr_seq, ct_seq):
     return ct_seq
 
 
-def _crop_plan(volumes, cfg):
-    """The training crop: crop_size, or the side of square slices. Every slice must
-    fit in the crop plus its pad margin, which random crops pad it to."""
+def check_inputs(mr_vols, ct_vols, cfg):
+    """Check the training volumes against cfg, before anything is written; returns the
+    crop: crop_size, or the side of square slices. Every slice must fit in the crop
+    plus its pad margin, which random crops pad it to."""
+    if not mr_vols or not ct_vols:
+        raise ValueError("run_training needs at least one volume per modality")
+    if cfg.mode == "paired_baseline":
+        if len(mr_vols) != len(ct_vols):
+            raise ValueError("paired mode needs equal-length volume lists")
+        for a, b in zip(mr_vols, ct_vols):
+            if a.dims != b.dims:
+                raise ValueError(f"paired volumes must share dims: {a.dims} vs {b.dims}")
+    volumes = mr_vols + ct_vols
     h, w = volumes[0].dims[1], volumes[0].dims[2]
     if cfg.crop_size is None and h != w:
         raise ValueError(f"crop_size must be set for non-square slices ({h}x{w})")
@@ -319,16 +320,28 @@ def _paired_batch(mr_vols, ct_vols, seq, crop, rng):
 # -- checkpoint plumbing --------------------------------------------------
 
 
-def _pack_state(nets, opts, pools, epoch, cfg):
-    arrays = {}
+def _net_arrays(nets, opts):
+    """(checkpoint key, array) of every parameter, then of every Adam moment."""
     for net_name, group in nets.items():
         for pname, t in group.items():
-            arrays[f"{net_name}/{pname}"] = t.data
+            yield f"{net_name}/{pname}", t.data
     for net_name, state in opts.items():
         for pname in nets[net_name].names():
             if pname in state.m:
-                arrays[f"opt/{net_name}/m/{pname}"] = state.m[pname]
-                arrays[f"opt/{net_name}/v/{pname}"] = state.v[pname]
+                yield f"opt/{net_name}/m/{pname}", state.m[pname]
+                yield f"opt/{net_name}/v/{pname}", state.v[pname]
+
+
+def _check_state_finite(nets, opts):
+    """A finite loss can still leave inf in an Adam moment (g * g overflows), which
+    silently freezes that parameter from then on: name the first bad array."""
+    for key, a in _net_arrays(nets, opts):
+        if not np.isfinite(a).all():
+            raise NumericError(f"non-finite value in {key}")
+
+
+def _pack_state(nets, opts, pools, epoch, cfg):
+    arrays = dict(_net_arrays(nets, opts))
     pool_sizes = {}
     for pool_name, pool in pools.items():
         imgs = pool.state_arrays()
@@ -358,8 +371,7 @@ def _unpack_state(arrays, meta, nets, opts, pools):
         pool.load_state([arrays[f"pool/{pool_name}/{i:04d}"] for i in range(count)])
 
 
-LOG_HEADER = ["epoch", "iter", "lr", "d_ct", "d_mr", "g_adv_ct", "g_adv_mr",
-              "cycle", "total_g", "total_d"]
+LOG_HEADER = ["epoch", "iter", "lr", *(f.name for f in fields(LossBreakdown))]
 
 # the only config fields a resumed run may change; any other change would break
 # the promise that a resumed run equals an unbroken one
@@ -372,15 +384,7 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
     Returns a summary dict with the final checkpoint and log paths.
     """
     cfg.validate()
-    if not mr_vols or not ct_vols:
-        raise ValueError("run_training needs at least one volume per modality")
-    if cfg.mode == "paired_baseline":
-        if len(mr_vols) != len(ct_vols):
-            raise ValueError("paired mode needs equal-length volume lists")
-        for a, b in zip(mr_vols, ct_vols):
-            if a.dims != b.dims:
-                raise ValueError(f"paired volumes must share dims: {a.dims} vs {b.dims}")
-    crop = _crop_plan(mr_vols + ct_vols, cfg)
+    crop = check_inputs(mr_vols, ct_vols, cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -423,12 +427,11 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
 
     mr_index = _slice_index(mr_vols)
     ct_index = _slice_index(ct_vols)
-    schedule = cfg.schedule()
     total = cfg.total_epochs
 
     try:
         for epoch in range(start_epoch, total):
-            lr = lr_at(epoch, schedule)
+            lr = lr_at(epoch, cfg.base_lr, cfg.fixed_epochs, cfg.decay_epochs)
             rng = {name: np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch, k]))
                    for k, name in enumerate(_EPOCH_STREAMS, 1)}
 
@@ -455,11 +458,8 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
                     i_mr, i_ct = _paired_batch(mr_vols, ct_vols, mr_seq[part],
                                                crop, rng["augment"])
                     b = train_step_paired(i_mr, i_ct, nets, opts, cfg, lr)
-                log.writerow([epoch, it, f"{lr:.8g}",
-                              f"{b.d_ct:.6g}", f"{b.d_mr:.6g}",
-                              f"{b.g_adv_ct:.6g}", f"{b.g_adv_mr:.6g}",
-                              f"{b.cycle:.6g}", f"{b.total_g:.6g}",
-                              f"{b.total_d:.6g}"])
+                log.writerow([epoch, it, f"{lr:.8g}", *(f"{v:.6g}" for v in astuple(b))])
+            _check_state_finite(nets, opts)
             log_f.flush()
 
             done = epoch + 1

@@ -3,7 +3,7 @@
 Criteria 1-5 are oracle and invariant checks and run in seconds. Criteria
 6-8 train small models on the synthetic phantom; their fixtures are
 module-scoped so the expensive runs are shared, and the whole module takes
-roughly fifteen minutes on one CPU. Verdict lines are printed with capture
+about ten minutes on two CPUs. Verdict lines are printed with capture
 disabled, so they appear in any pytest invocation.
 """
 
@@ -235,8 +235,9 @@ def test_criterion_4_loss_identities(capsys):
 
 
 def test_criterion_5_lr_schedule(capsys):
-    s = optim.LrSchedule()
-    got = [optim.lr_at(e, s) for e in (0, 99, 150, 200)]
+    cfg = train.TrainConfig()
+    got = [optim.lr_at(e, cfg.base_lr, cfg.fixed_epochs, cfg.decay_epochs)
+           for e in (0, 99, 150, 200)]
     ok = got == [2e-4, 2e-4, 1e-4, 0.0]
     _verdict(capsys, 5, "learning-rate schedule", ok,
              "lr(0)={:.6g} lr(99)={:.6g} lr(150)={:.6g} lr(200)={:.6g}".format(*got))
@@ -251,7 +252,7 @@ def test_criterion_6_learning_smoke(capsys, phantoms, smoke_run):
 
     hold_mr, gt_ct, masks = _holdout(phantoms)
     synth = _holdout_maes(smoke_run["res"]["final_checkpoint"], hold_mr, gt_ct, masks)
-    ident = [evalx.mae(ct, data.make_volume("SYNTH_CT", mr.voxels), m)
+    ident = [evalx.mae(ct, data.SliceVolume("SYNTH_CT", mr.voxels), m)
              for mr, ct, m in zip(hold_mr, gt_ct, masks)]
     beats = [s < i for s, i in zip(synth, ident)]
     minutes = smoke_run["minutes"] + (time.perf_counter() - t0) / 60.0

@@ -43,7 +43,7 @@ class TestRoundTrip:
     def test_network_params_bitwise(self, tmp_path):
         p = init_params("generator", width=4, rng_seed=9)
         path = tmp_path / "g.csyn"
-        write_checkpoint(path, p.state_arrays(), {})
+        write_checkpoint(path, {n: t.data for n, t in p.items()}, {})
         back, _ = read_checkpoint(path)
         q = init_params("generator", width=4, rng_seed=1)
         q.load_state_arrays(back)

@@ -265,9 +265,21 @@ def test_train_zero_epochs_and_manifest_first(workspace, tmp_path):
     assert (out / "manifest.json").exists()
 
 
-def test_train_failure_still_leaves_manifest(workspace, tmp_path):
-    # an uneven dataset passes config validation but fails inside the run;
-    # the manifest must already be on disk by then
+def test_train_failure_still_leaves_manifest(workspace, tmp_path, capsys):
+    # a cycle weight this large passes every input check, but Adam's g * g
+    # overflows inside the run; the manifest must already be on disk by then
+    out = tmp_path / "broken"
+    rc = cli.main(["train", "--data", str(workspace / "data"), "--out", str(out),
+                   "--lambda", "1e30", "--limit-volumes", "1", "--epochs-fixed", "1",
+                   "--epochs-decay", "0", "--width-f", "4", "--width-d", "4"])
+    assert rc == 3
+    assert "numeric failure: non-finite value in opt/" in capsys.readouterr().err
+    assert (out / "manifest.json").exists()
+    assert not (out / "ckpt_epoch1.csyn").exists()
+
+
+def test_train_input_error_writes_nothing(workspace, tmp_path, capsys):
+    # paired mode on 2 MR and 1 CT volumes fails the input checks before any write
     lopsided = tmp_path / "data"
     lopsided.mkdir()
     for name in ("mr_000.svol", "mr_001.svol", "ct_000.svol"):
@@ -277,7 +289,8 @@ def test_train_failure_still_leaves_manifest(workspace, tmp_path):
                    "--mode", "paired", "--epochs-fixed", "1",
                    "--epochs-decay", "0", "--width-f", "4", "--width-d", "4"])
     assert rc == 2
-    assert (out / "manifest.json").exists()
+    assert "paired mode needs equal-length volume lists" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_train_resume_rejects_other_seed(workspace, tmp_path, capsys):
@@ -469,7 +482,7 @@ def test_synthesize_volume_split_never_changes_bits(monkeypatch, size, slices, c
     forward, got = cli.generator_forward, []
     monkeypatch.setattr(cli, "generator_forward",
                         lambda g, x: got.append(forward(g, x).data) or engine.Tensor(got[-1]))
-    synth = cli.synthesize_volume(group, data.make_volume("SYNTH_MR", vox), "SYNTH_CT")
+    synth = cli.synthesize_volume(group, data.SliceVolume("SYNTH_MR", vox), "SYNTH_CT")
     assert [len(y) for y in got] == calls
     with engine.no_grad():
         want = [forward(group, engine.Tensor(data.to_model_range(vox[k:k + 1, None]))).data
@@ -483,7 +496,7 @@ def test_synthesize_volume_memory_does_not_grow_with_slices():
     rng = np.random.default_rng(2)
 
     def peak(slices):
-        vol = data.make_volume("SYNTH_MR", rng.integers(0, 256, (slices, 128, 128),
+        vol = data.SliceVolume("SYNTH_MR", rng.integers(0, 256, (slices, 128, 128),
                                                         dtype=np.uint8))
         return traced_peak(lambda: cli.synthesize_volume(group, vol, "SYNTH_CT"))[1]
 
@@ -608,6 +621,17 @@ def test_eval_csv_non_finite_exits_2(tmp_path, capsys, text, line):
     captured = capsys.readouterr()
     assert captured.err == f"error: {csv_path}: line {line} has a non-finite value\n"
     assert captured.out == "" and not report.exists()
+
+
+def test_eval_error_map_from_csv_fails_before_any_output(tmp_path, capsys):
+    csv_path = tmp_path / "fixture.csv"
+    csv_path.write_text("id,mae,psnr\np0,70.3,31.1\n")
+    report, emap = tmp_path / "report.json", tmp_path / "err.svol"
+    assert cli.main(["eval", "--from-csv", str(csv_path), "--report", str(report),
+                     "--error-map", str(emap)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --error-map needs volume inputs, not --from-csv\n"
+    assert captured.out == "" and not report.exists() and not emap.exists()
 
 
 def test_eval_reads_and_masks_each_real_volume_once(workspace, tmp_path, monkeypatch):
@@ -736,10 +760,31 @@ def test_selfcheck_corrupt_conv2d_fails_every_conv2d_probe(capsys):
 
 @pytest.mark.parametrize("op", selfcheck.PROBED_OPS)
 def test_selfcheck_catches_every_probed_op_at_8_probes(capsys, op):
-    # each op check probes every operand, so a spoiled first-operand gradient
-    # cannot hide behind draws that all land in the other arrays
+    # each op check probes every operand and scores it on its own gradient scale,
+    # so a spoiled operand gradient fails every check of its op
     assert cli.main(["selfcheck", "--probes", "8", "--corrupt-op", op]) == 3
-    assert "first failing check: grad/" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    own = [name for name, _, _ in selfcheck.op_gradient_checks()
+           if name == op or name.startswith(f"{op}_")]
+    assert own
+    for name in own:
+        assert f"[FAIL] grad/{name}  (" in out
+
+
+@pytest.mark.parametrize("probe_seed", range(10))
+def test_fd_gradcheck_scores_each_operand_on_its_own_scale(probe_seed):
+    # d/dx sum(x * y) = y is a hundred times smaller than d/dy = x: a spoiled x
+    # gradient deviates by under 1% of the largest gradient, but by a third of y's
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1.0, 1.0, (3, 4)).astype(np.float32)
+    y = rng.uniform(-0.01, 0.01, (3, 4)).astype(np.float32)
+
+    def build(ts):
+        return engine.tsum(engine.mul(ts[0], ts[1]))
+
+    assert selfcheck._fd_gradcheck(build, [x, y], np.random.default_rng(probe_seed)) < 1e-2
+    with selfcheck.corrupted_op("mul"), pytest.raises(selfcheck.CheckFailure):
+        selfcheck._fd_gradcheck(build, [x, y], np.random.default_rng(probe_seed))
 
 
 def test_selfcheck_roundtrip_failures_keep_their_messages(tmp_path, monkeypatch):

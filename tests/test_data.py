@@ -10,12 +10,12 @@ from cyclesynth.data import (
     CT_WINDOW,
     MR_WINDOW,
     PhantomSpec,
+    SliceVolume,
     augment,
     dequantize,
     from_model_range,
     head_mask,
     load_volume,
-    make_volume,
     pad_margin,
     phantom_generate,
     quantize,
@@ -49,7 +49,7 @@ class TestQuantize:
         message = f"window lo must be < hi, got ({window[0]}, {window[1]})"
         for use in (lambda: quantize(0.0, window), lambda: dequantize(7, window),
                     lambda: data.level_table(window),
-                    lambda: make_volume("CT", np.zeros((1, 2, 2), np.uint8), window=window)):
+                    lambda: SliceVolume("CT", np.zeros((1, 2, 2), np.uint8), window=window)):
             with pytest.raises(ValueError) as err:
                 use()
             assert str(err.value) == message
@@ -85,7 +85,7 @@ class TestModelRange:
 
 def toy_ct(native_slices):
     native = np.asarray(native_slices, dtype=np.float64)
-    return make_volume("CT", quantize(native, CT_WINDOW))
+    return SliceVolume("CT", quantize(native, CT_WINDOW))
 
 
 class TestHeadMask:
@@ -130,11 +130,11 @@ class TestHeadMask:
         # suppress everything outside the mask to air and recompute
         voxels = vol.voxels.copy()
         voxels[~m1] = quantize(-600.0, CT_WINDOW)
-        m2 = head_mask(make_volume("CT", voxels))
+        m2 = head_mask(SliceVolume("CT", voxels))
         assert np.array_equal(m1, m2)
 
     def test_rejects_mr(self):
-        vol = make_volume("MR", np.full((1, 8, 8), 128, dtype=np.uint8))
+        vol = SliceVolume("MR", np.full((1, 8, 8), 128, dtype=np.uint8))
         with pytest.raises(ValueError):
             head_mask(vol)
 
@@ -321,7 +321,7 @@ class TestSvolRoundTrip:
         rng = np.random.default_rng(20)
         vox = rng.integers(0, 256, size=(3, 8, 10), dtype=np.uint8)
         mask = rng.random((3, 8, 10)) < 0.5 if with_mask else None
-        return make_volume("SYNTH_CT", vox, spacing_mm=(1.0, 0.5, 0.5), mask=mask)
+        return SliceVolume("SYNTH_CT", vox, spacing_mm=(1.0, 0.5, 0.5), mask=mask)
 
     @pytest.mark.parametrize("with_mask", [False, True])
     def test_save_load_equal(self, tmp_path, with_mask):
@@ -358,7 +358,7 @@ class TestSvolRoundTrip:
     def test_voxels_and_mask_stream_without_a_copy(self, tmp_path):
         rng = np.random.default_rng(21)
         vox = rng.integers(0, 256, size=(20, 256, 256), dtype=np.uint8)
-        vol = make_volume("SYNTH_CT", vox, mask=vox > 128)
+        vol = SliceVolume("SYNTH_CT", vox, mask=vox > 128)
         path = tmp_path / "v.svol"
         payload = 2 * vox.nbytes
         _, write_peak = traced_peak(lambda: save_volume(vol, path))
@@ -432,13 +432,34 @@ class TestSvolRoundTrip:
 class TestSliceVolumeValidation:
     def test_window_order_enforced(self):
         with pytest.raises(ValueError):
-            make_volume("CT", np.zeros((1, 4, 4), np.uint8), window=(10.0, -10.0))
+            SliceVolume("CT", np.zeros((1, 4, 4), np.uint8), window=(10.0, -10.0))
 
     def test_mask_shape_enforced(self):
         with pytest.raises(ValueError):
-            make_volume("CT", np.zeros((1, 4, 4), np.uint8),
+            SliceVolume("CT", np.zeros((1, 4, 4), np.uint8),
                         mask=np.zeros((1, 4, 5), bool))
 
     def test_unknown_modality(self):
         with pytest.raises(ValueError):
-            make_volume("XRAY", np.zeros((1, 4, 4), np.uint8))
+            SliceVolume("XRAY", np.zeros((1, 4, 4), np.uint8))
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (1, 4, 0), (4, 4)])
+    def test_dims_must_be_three_positive_ints(self, shape):
+        with pytest.raises(ValueError, match=r"^dims must be three positive ints, got \("):
+            SliceVolume("CT", np.zeros(shape, np.uint8))
+
+    def test_dims_is_the_voxels_shape(self):
+        vol = SliceVolume("MR", np.zeros((2, 4, 8), np.uint8))
+        assert vol.dims == vol.voxels.shape == (2, 4, 8)
+        assert vol.window == data.MR_WINDOW and vol.spacing_mm == (1.0, 1.0, 1.0)
+        with pytest.raises(AttributeError):
+            vol.dims = (1, 1, 1)
+
+    def test_zero_size_svol_names_its_file(self, tmp_path):
+        path = tmp_path / "empty.svol"
+        header = {"modality": "CT", "dims": [0, 4, 4], "spacing_mm": [1.0, 1.0, 1.0],
+                  "window": list(CT_WINDOW), "has_mask": False}
+        data.write_framed(path, data.SVOL_MAGIC, header, [])
+        with pytest.raises(data.HeaderError) as err:
+            load_volume(path)
+        assert str(err.value) == f"{path}: dims must be three positive ints, got (0, 4, 4)"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cyclesynth import evalx
-from cyclesynth.data import make_volume
+from cyclesynth.data import SliceVolume
 from cyclesynth.evalx import (
     EvalRow,
     aggregate,
@@ -27,7 +27,7 @@ PSNR_PAIRED = [29.3, 30.1, 30.1, 31.7, 31.2, 30.9]
 def level_volume(levels, window=(0.0, 255.0)):
     """Volume whose dequantized values equal the given u8 levels (unit window)."""
     vox = np.asarray(levels, dtype=np.uint8)
-    return make_volume("CT", vox, window=window)
+    return SliceVolume("CT", vox, window=window)
 
 
 def full_mask(vol):

@@ -164,7 +164,8 @@ class TestTotalGeneratorLoss:
         assert abs((t2 - t1) - lam * 0.3) <= 1e-5 * max(1.0, lam)
 
     def test_breakdown_total_identity(self):
+        lam = 10.0
         b = losses.LossBreakdown(d_ct=0.1, d_mr=0.2, g_adv_ct=0.3, g_adv_mr=0.4,
-                                 cycle=0.5, lam=10.0, total_g=0.3 + 0.4 + 5.0,
+                                 cycle=0.5, total_g=0.3 + 0.4 + lam * 0.5,
                                  total_d=0.1 + 0.2)
-        assert abs(b.total_g - (b.g_adv_ct + b.g_adv_mr + b.lam * b.cycle)) <= 1e-6
+        assert abs(b.total_g - (b.g_adv_ct + b.g_adv_mr + lam * b.cycle)) <= 1e-6

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from cyclesynth import optim
 from cyclesynth.models import ParamGroup
-from cyclesynth.optim import AdamState, LrSchedule, adam_step, lr_at
+from cyclesynth.optim import AdamState, adam_step, lr_at
+from cyclesynth.train import TrainConfig
 
 
 def scalar_group(value=0.0):
-    p = ParamGroup("test", 1)
+    p = ParamGroup()
     p.add("w", np.array([value]))
     return p
 
@@ -40,7 +41,7 @@ class TestAdamStep:
         assert p["w"].data[0] == pytest.approx(3.0, abs=0)
 
     def test_missing_grad_names_parameter(self):
-        p = ParamGroup("test", 1)
+        p = ParamGroup()
         p.add("alpha", np.zeros(2))
         p.add("beta", np.zeros(2))
         p["alpha"].grad = np.zeros(2, dtype=np.float32)
@@ -48,7 +49,7 @@ class TestAdamStep:
             adam_step(p, AdamState(), lr=0.1)
 
     def test_moment_buffers_mirror_parameter_shapes(self):
-        p = ParamGroup("test", 1)
+        p = ParamGroup()
         p.add("w", np.zeros((2, 3)))
         p.add("b", np.zeros(3))
         for t in p.tensors():
@@ -83,40 +84,42 @@ class TestAdamStep:
         assert optim.EPS == 1e-8
 
 
+def recipe_lr(epoch):
+    """lr_at on the schedule of the default TrainConfig, the paper's recipe."""
+    cfg = TrainConfig()
+    return lr_at(epoch, cfg.base_lr, cfg.fixed_epochs, cfg.decay_epochs)
+
+
 class TestLrSchedule:
     def test_fixed_phase_endpoints(self):
-        s = LrSchedule()
-        assert lr_at(0, s) == 2e-4
-        assert lr_at(99, s) == 2e-4
+        assert recipe_lr(0) == 2e-4
+        assert recipe_lr(99) == 2e-4
 
     def test_decay_midpoint(self):
-        assert lr_at(150, LrSchedule()) == 1e-4
+        assert recipe_lr(150) == 1e-4
 
     def test_reaches_zero(self):
-        assert lr_at(200, LrSchedule()) == 0.0
+        assert recipe_lr(200) == 0.0
 
     def test_out_of_range(self):
-        s = LrSchedule()
         with pytest.raises(ValueError):
-            lr_at(-1, s)
+            recipe_lr(-1)
         with pytest.raises(ValueError):
-            lr_at(201, s)
+            recipe_lr(201)
 
     def test_zero_decay_schedule_ends_at_zero(self):
-        s = LrSchedule(base_lr=1e-3, fixed_epochs=5, decay_epochs=0)
-        assert lr_at(4, s) == 1e-3
-        assert lr_at(5, s) == 0.0
+        assert lr_at(4, 1e-3, 5, 0) == 1e-3
+        assert lr_at(5, 1e-3, 5, 0) == 0.0
 
     def test_total_epochs(self):
-        assert LrSchedule().total_epochs == 200
-        assert LrSchedule(fixed_epochs=5, decay_epochs=5).total_epochs == 10
+        assert TrainConfig().total_epochs == 200
+        assert TrainConfig(fixed_epochs=5, decay_epochs=5).total_epochs == 10
 
     @settings(max_examples=50, deadline=None)
     @given(fixed=st.integers(1, 50), decay=st.integers(1, 50),
            base=st.floats(1e-6, 1e-2, allow_nan=False))
     def test_non_increasing_with_one_knee(self, fixed, decay, base):
-        s = LrSchedule(base_lr=base, fixed_epochs=fixed, decay_epochs=decay)
-        lrs = [lr_at(e, s) for e in range(fixed + decay + 1)]
+        lrs = [lr_at(e, base, fixed, decay) for e in range(fixed + decay + 1)]
         assert all(a >= b - 1e-15 for a, b in zip(lrs, lrs[1:]))
         assert lrs[-1] == 0.0
         # flat through the knee at epoch `fixed`, then one constant negative slope

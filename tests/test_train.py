@@ -1,6 +1,7 @@
 """Training loop: config, pool, step mechanics, logging, checkpoint resume."""
 
 import csv
+import dataclasses
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -31,7 +32,7 @@ def ramp_volume(modality, n_slices=2, size=24, offset=0):
     """Deterministic content where every crop window reads differently."""
     v = (np.arange(n_slices * size * size).reshape(n_slices, size, size)
          * 7 + offset) % 256
-    return data.make_volume(modality, v.astype(np.uint8))
+    return data.SliceVolume(modality, v.astype(np.uint8))
 
 
 def volume_pair(n_vols=2, n_slices=2, size=24):
@@ -59,7 +60,7 @@ class ScriptedRng:
 
 def test_config_roundtrip():
     cfg = tiny_config(lam=5.0, crop_size=24)
-    again = train.TrainConfig.from_dict(cfg.to_dict())
+    again = train.TrainConfig(**cfg.to_dict()).validate()
     assert again == cfg
 
 
@@ -314,7 +315,7 @@ def test_generator_backward_leaves_discriminators_without_grad(mode, monkeypatch
     adam = train.adam_step
 
     def checked_adam(group, state, lr):
-        if group.kind == "generator":
+        if group in (nets["g_mr2ct"], nets.get("g_ct2mr")):
             seen.append([t.grad for n, g in nets.items() if n.startswith("d_")
                          for t in g.tensors()])
         adam(group, state, lr)
@@ -376,8 +377,8 @@ def test_same_volume_pairs_removed():
 def test_paired_batch_shares_crop_offsets():
     size = 24
     v = (np.arange(size * size).reshape(size, size) % 256).astype(np.uint8)
-    mr = [data.make_volume("MR", v[None])]
-    ct = [data.make_volume("CT", v[None])]
+    mr = [data.SliceVolume("MR", v[None])]
+    ct = [data.SliceVolume("CT", v[None])]
     rng = np.random.default_rng(0)
     for _ in range(8):
         t_mr, t_ct = train._paired_batch(mr, ct, [(0, 0)], size, rng)
@@ -386,17 +387,18 @@ def test_paired_batch_shares_crop_offsets():
 
 def test_crop_plan():
     vols = [ramp_volume("MR", 1, 24)]
-    assert train._crop_plan(vols, tiny_config()) == 24
+    assert train.check_inputs(vols, vols, tiny_config()) == 24
     # a 26x26 slice fits crop 24 padded by its margin of 2
-    assert train._crop_plan([ramp_volume("MR", 1, 26)], tiny_config(crop_size=24)) == 24
-    uneven = [data.make_volume("MR", np.zeros((1, 24, 28), np.uint8))]
+    big = [ramp_volume("MR", 1, 26)]
+    assert train.check_inputs(big, big, tiny_config(crop_size=24)) == 24
+    uneven = [data.SliceVolume("MR", np.zeros((1, 24, 28), np.uint8))]
     with pytest.raises(ValueError, match="crop_size"):
-        train._crop_plan(uneven, tiny_config())
+        train.check_inputs(uneven, uneven, tiny_config())
     # crop 8 pads by 0, so a 24x24 slice (or a larger second volume) cannot fit
     with pytest.raises(ValueError, match="crop_size 8 plus its pad margin 0 is below"):
-        train._crop_plan(vols, tiny_config(crop_size=8))
+        train.check_inputs(vols, vols, tiny_config(crop_size=8))
     with pytest.raises(ValueError, match="largest slice side 28"):
-        train._crop_plan(vols + [ramp_volume("CT", 1, 28)], tiny_config(crop_size=24))
+        train.check_inputs(vols, [ramp_volume("CT", 1, 28)], tiny_config(crop_size=24))
 
 
 # -- run_training ---------------------------------------------------------
@@ -479,8 +481,7 @@ def test_resume_is_bitwise_identical(tmp_path):
     train.run_training(mr, ct, cfg, straight)
 
     split = tmp_path / "split"
-    first = train.TrainConfig.from_dict(
-        {**cfg.to_dict(), "fixed_epochs": 1})
+    first = dataclasses.replace(cfg, fixed_epochs=1)
     train.run_training(mr, ct, first, split)
     train.run_training(mr, ct, cfg, split,
                        resume_from=split / "ckpt_epoch1.csyn")
@@ -503,7 +504,7 @@ def test_resume_is_bitwise_identical(tmp_path):
 def test_resume_appends_log(tmp_path):
     mr, ct = volume_pair(n_vols=1, n_slices=2)
     cfg = tiny_config(fixed_epochs=2, decay_epochs=0, checkpoint_every=1)
-    first = train.TrainConfig.from_dict({**cfg.to_dict(), "fixed_epochs": 1})
+    first = dataclasses.replace(cfg, fixed_epochs=1)
     train.run_training(mr, ct, first, tmp_path)
     assert len(read_log(tmp_path / "loss_log.csv")) == 2
     train.run_training(mr, ct, cfg, tmp_path,
@@ -637,10 +638,25 @@ def test_run_training_input_validation(tmp_path):
     with pytest.raises(ValueError, match="equal-length"):
         train.run_training(mr + mr, ct,
                            tiny_config(mode="paired_baseline"), tmp_path)
-    short = [data.make_volume("CT", np.zeros((2, 24, 24), np.uint8))]
+    short = [data.SliceVolume("CT", np.zeros((2, 24, 24), np.uint8))]
     with pytest.raises(ValueError, match="share dims"):
         train.run_training(mr, short,
                            tiny_config(mode="paired_baseline"), tmp_path)
+
+
+def test_state_check_names_the_first_non_finite_array():
+    cfg = tiny_config()
+    nets = train.make_networks(cfg)
+    opts = train.make_optimizers(nets)
+    train._check_state_finite(nets, opts)
+    opts["d_mr"].m["c1.w"] = np.zeros(1, np.float32)
+    opts["d_mr"].v["c1.w"] = np.array([np.inf], np.float32)
+    nets["d_ct"]["c2.b"].data[0] = np.nan
+    with pytest.raises(train.NumericError, match=r"^non-finite value in d_ct/c2\.b$"):
+        train._check_state_finite(nets, opts)
+    nets["d_ct"]["c2.b"].data[0] = 0.0
+    with pytest.raises(train.NumericError, match=r"^non-finite value in opt/d_mr/v/c1\.w$"):
+        train._check_state_finite(nets, opts)
 
 
 def test_two_runs_same_seed_identical_logs(tmp_path):
