@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -249,6 +250,9 @@ def _eval_rows(pairs_a, pairs_b, mask_from, mode, keep_first=False):
         runs = [(rows_a, synth_a)] + ([(rows_b, pairs_b[k][2])] if pairs_b else [])
         for rows, synth_path in runs:
             synth = data.load_volume(synth_path)
+            base = real.modality.removeprefix("SYNTH_"), synth.modality.removeprefix("SYNTH_")
+            if base[0] != base[1]:
+                raise ValueError(f"{real_path} vs {synth_path}: modality {base[0]} vs {base[1]}")
             if keep_first and first is None:
                 first = real, synth
             if mask is None or mask_from == "synth":
@@ -306,8 +310,11 @@ def cmd_eval(args):
         scored = len(pairs_a) + len(pairs_b)
         rate = scored / (time.perf_counter() - start)
         rate_line = f"evaluated {scored} volumes ({rate:.1f} volumes/s)"
-    report_a = evalx.build_report(rows_a, mode=args.psnr_mode)
-    report_b = evalx.build_report(rows_b, mode=args.psnr_mode) if rows_b else None
+    with warnings.catch_warnings():
+        # the table and the report already show an omitted SD as n/a and null
+        warnings.filterwarnings("ignore", "fewer than two rows")
+        report_a = evalx.build_report(rows_a, mode=args.psnr_mode)
+        report_b = evalx.build_report(rows_b, mode=args.psnr_mode) if rows_b else None
 
     lines = [evalx.render_table(report_a, report_b,
                                 label_a=args.label_a, label_b=args.label_b)]
@@ -446,7 +453,10 @@ def main(argv=None):
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
-        rc = args.func(args)
+        # numpy's float warnings would print before the one-line error; the loss
+        # and epoch-end finite checks catch every non-finite value instead
+        with np.errstate(all="ignore"):
+            rc = args.func(args)
         return 0 if rc is None else rc
     except (train.NumericError, ArithmeticError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)

@@ -158,7 +158,11 @@ def head_mask(ct, threshold_native=HEAD_MASK_THRESHOLD_HU):
     component (the first in raster order on ties), fill its holes, the
     background components that touch no slice border. The whole stack is
     labelled at once with in-plane connectivity, so each slice stays
-    independent. The result is meant to be propagated unchanged to the
+    independent. Only the foreground's bounding box over the stack, grown by
+    one pixel and clamped to the slice, is labelled: every pixel outside it
+    is background that reaches a border in a straight line, so a background
+    piece inside the box reaches a slice border exactly when it touches the
+    box's edge. The result is meant to be propagated unchanged to the
     spatially paired MR volume.
     """
     from scipy import ndimage  # loaded on first use: phantom, train and infer never mask
@@ -171,22 +175,28 @@ def head_mask(ct, threshold_native=HEAD_MASK_THRESHOLD_HU):
     if empty.any():
         raise EmptyForegroundError(f"slice {int(np.argmax(empty))}: no voxels above "
                                    f"{threshold_native} in {ct.modality}")
-    labels, n = ndimage.label(fg, _SLICE_CROSS)
-    # labels run in raster order, so slice s holds labels first[s]+1 .. last[s]
-    sizes = np.bincount(labels.ravel())[1:]
+    plane = fg.any(axis=0)
+    rows, cols = np.flatnonzero(plane.any(axis=1)), np.flatnonzero(plane.any(axis=0))
+    box = (slice(None), slice(max(rows[0] - 1, 0), rows[-1] + 2),
+           slice(max(cols[0] - 1, 0), cols[-1] + 2))
+    labels, n = ndimage.label(fg[box], _SLICE_CROSS, output=np.intp)
+    # labels run in raster order, so slice s holds labels first[s]+1 .. last[s];
+    # a slice with one component keeps it, so only the others are counted
     last = labels.reshape(len(labels), -1).max(axis=1)
     first = np.concatenate(([0], last[:-1]))
+    sizes = np.bincount(labels[last - first > 1].ravel(), minlength=n + 1)[1:]
     largest = np.repeat(np.maximum.reduceat(sizes, first), last - first)
     hits = np.flatnonzero(sizes == largest)
-    keep = np.zeros(n + 1, dtype=bool)
-    keep[1 + hits[np.searchsorted(hits, first)]] = True
-    fg = np.take(keep, labels)
-    background, nb = ndimage.label(~fg, _SLICE_CROSS)
+    kept = 1 + hits[np.searchsorted(hits, first)]
+    background, nb = ndimage.label(labels != kept[:, None, None], _SLICE_CROSS,
+                                   output=np.intp)
     inside = np.ones(nb + 1, dtype=bool)
     inside[background[:, (0, -1), :]] = False
     inside[background[:, :, (0, -1)]] = False
     inside[0] = True
-    return np.take(inside, background)
+    mask = np.zeros(fg.shape, dtype=bool)
+    mask[box] = inside[background]
+    return mask
 
 
 # -- augmentation ---------------------------------------------------------

@@ -276,15 +276,24 @@ def check_param_counts():
 def check_head_mask():
     """The whole-stack head mask against a per-slice reference on seeded
     random blobs: 2-D labels, the first largest component, and every
-    background piece that reaches no border filled."""
+    background piece that reaches no border filled. Dense stacks fill the
+    whole slice; sparse ones keep their blobs inside a sub-rectangle, so
+    head_mask labels only part of each slice."""
     from scipy import ndimage
 
     rng = np.random.default_rng(2)
-    stacks = 12
-    for k in range(stacks):
+    dense, sparse = 12, 8
+    for k in range(dense + sparse):
         s, h, w = (int(v) for v in rng.integers((2, 5, 5), (6, 20, 20)))
-        fg = rng.random((s, h, w)) < rng.uniform(0.3, 0.7)
-        fg[:, h // 2, w // 2] = True
+        if k < dense:
+            fg = rng.random((s, h, w)) < rng.uniform(0.3, 0.7)
+            fg[:, h // 2, w // 2] = True
+        else:
+            bh, bw = (int(v) for v in rng.integers(2, (h, w)))
+            y0, x0 = (int(v) for v in rng.integers(0, (h - bh + 1, w - bw + 1)))
+            fg = np.zeros((s, h, w), dtype=bool)
+            fg[:, y0:y0 + bh, x0:x0 + bw] = rng.random((s, bh, bw)) < rng.uniform(0.3, 0.7)
+            fg[:, y0 + bh // 2, x0 + bw // 2] = True
         got = data.head_mask(data.SliceVolume("CT", np.where(fg, 255, 0).astype(np.uint8)))
         for si, plane in enumerate(fg):
             labels, _ = ndimage.label(plane)
@@ -295,7 +304,7 @@ def check_head_mask():
             if not np.array_equal(got[si], ~np.isin(background, border[border > 0])):
                 raise CheckFailure(f"stack {k} ({s}x{h}x{w}) slice {si} differs "
                                    "from the per-slice reference")
-    return f"{stacks} stacks"
+    return f"{dense} dense and {sparse} sparse stacks"
 
 
 def _check_roundtrip(what, path, obj, save, load, same):

@@ -572,6 +572,35 @@ def test_eval_dims_mismatch_names_both_files(workspace, tmp_path, capsys):
         and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("real_name,synth_name,modalities", [
+    ("ct_000.svol", "mr_000.svol", "CT vs MR"),
+    ("mr_000.svol", "ct_000.svol", "MR vs CT"),
+])
+def test_eval_rejects_a_pair_of_two_modalities(workspace, tmp_path, capsys,
+                                               real_name, synth_name, modalities):
+    real, synth = tmp_path / "real", tmp_path / "synth"
+    real.mkdir()
+    synth.mkdir()
+    shutil.copy(workspace / "data" / real_name, real / "v.svol")
+    shutil.copy(workspace / "data" / synth_name, synth / "v.svol")
+    report = tmp_path / "report.json"
+    assert cli.main(["eval", "--real", str(real), "--synth", str(synth),
+                     "--mask-from", "compute", "--report", str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {real / 'v.svol'} vs {synth / 'v.svol'}: modality {modalities}\n"
+    assert out == "" and not report.exists()
+
+
+def test_eval_scores_ct_against_synth_ct(workspace, tmp_path, capsys):
+    # CT and SYNTH_CT share a base modality, so the pair is scored
+    synth = workspace / "data" / "ct_000.svol"
+    real = tmp_path / "real.svol"
+    data.save_volume(data.SliceVolume("CT", data.load_volume(synth).voxels), real)
+    assert cli.main(["eval", "--real", str(real), "--synth", str(synth),
+                     "--mask-from", "compute"]) == 0
+    assert "Mean +/- SD" in capsys.readouterr().out
+
+
 def test_eval_table1_fixture(tmp_path, capsys):
     csv_path = tmp_path / "fixture.csv"
     lines = ["id,mae_a,psnr_a,mae_b,psnr_b"]
@@ -732,6 +761,25 @@ def test_selfcheck_head_mask_catches_unfilled_holes(monkeypatch):
         selfcheck.check_head_mask()
 
 
+def test_selfcheck_head_mask_catches_a_box_written_at_the_wrong_offset(monkeypatch):
+    head_mask = data.head_mask
+
+    def at_origin(v):
+        # the labelled box's result written at the slice's corner: right
+        # wherever the box is the whole slice, as in dense stacks
+        m = head_mask(v)
+        plane = (v.voxels > 0).any(axis=0)
+        rows, cols = np.flatnonzero(plane.any(axis=1)), np.flatnonzero(plane.any(axis=0))
+        box = m[:, max(rows[0] - 1, 0):rows[-1] + 2, max(cols[0] - 1, 0):cols[-1] + 2]
+        out = np.zeros_like(m)
+        out[:, :box.shape[1], :box.shape[2]] = box
+        return out
+
+    monkeypatch.setattr(data, "head_mask", at_origin)
+    with pytest.raises(selfcheck.CheckFailure, match=r"^stack 1[2-9] .*per-slice reference"):
+        selfcheck.check_head_mask()
+
+
 def test_selfcheck_corrupt_op_fails(capsys):
     assert cli.main(["selfcheck", "--probes", "8",
                      "--corrupt-op", "tanh"]) == 3
@@ -857,6 +905,29 @@ def test_phantom_train_infer_never_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("case", ["train-overflow", "one-volume-eval"])
+def test_a_failing_command_prints_one_line(workspace, tmp_path, case):
+    # numpy's float warnings and the one-row SD warning used to come first
+    if case == "train-overflow":
+        args = ["train", "--data", str(workspace / "data"), "--out", str(tmp_path / "run"),
+                "--lambda", "1e30", "--limit-volumes", "1", "--epochs-fixed", "1",
+                "--epochs-decay", "0", "--width-f", "4", "--width-d", "4"]
+        rc, first = 3, "numeric failure: non-finite value in opt/"
+    else:
+        # one row leaves the SDs undefined; the error map's folder is missing
+        ct = str(workspace / "data" / "ct_000.svol")
+        args = ["eval", "--real", ct, "--synth", ct, "--mask-from", "compute",
+                "--error-map", str(tmp_path / "missing" / "err.svol")]
+        rc, first = 2, "error: "
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "cyclesynth.cli", *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == rc, proc.stderr
+    assert proc.stderr.startswith(first) and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_thread_env_propagates():

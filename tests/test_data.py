@@ -173,6 +173,78 @@ class TestHeadMask:
         assert np.array_equal(m[1], fg[1])
         assert np.array_equal(m[1], bfs_largest_component_filled(fg[1]))
 
+    def test_matches_bfs_oracle_on_blobs_in_sub_rectangles(self):
+        # blobs confined to a sub-rectangle that differs per slice, so the
+        # stack's foreground box is smaller than the slice; each axis of each
+        # rectangle touches no edge, the low, the high or both opposite edges
+        def span(n, kind):
+            if n < 3 or kind == "both":
+                return 0, n
+            lo = 0 if kind == "low" else int(rng.integers(1, n - 1))
+            hi = n if kind == "high" else int(rng.integers(max(lo, 1) + 1, n))
+            return lo, hi
+
+        rng = np.random.default_rng(31)
+        kinds = ("inner", "low", "high", "both")
+        for _ in range(60):
+            s = int(rng.integers(1, 5))
+            h, w = (int(v) for v in rng.integers(1, 20, size=2))
+            fg = np.zeros((s, h, w), dtype=bool)
+            for plane in fg:
+                (y0, y1), (x0, x1) = (span(n, kinds[rng.integers(4)]) for n in (h, w))
+                plane[y0:y1, x0:x1] = rng.random((y1 - y0, x1 - x0)) < rng.uniform(0.3, 0.9)
+                plane[(y0 + y1) // 2, (x0 + x1) // 2] = True
+            m = head_mask(toy_ct(np.where(fg, 100.0, -600.0)))
+            for si in range(s):
+                assert np.array_equal(m[si], bfs_largest_component_filled(fg[si]))
+
+    def test_sparse_edge_cases_match_bfs_oracle(self):
+        single = np.zeros((2, 9, 9), dtype=bool)
+        single[0, 4, 4] = single[1, 2, 6] = True
+        flat = np.zeros((3, 1, 12), dtype=bool)   # 1-pixel-tall slices
+        flat[0, 0, 3:5] = flat[0, 0, 7:10] = flat[1, 0, 0] = flat[2, 0, 2:12] = True
+        pockets = np.zeros((3, 14, 14), dtype=bool)
+        pockets[:, 3:10, 4:11] = True
+        pockets[0, 4:9, 5:10] = False      # a hole one pixel inside the box edge
+        pockets[1, 4:9, 4:10] = False      # a pocket open onto the box's left edge
+        pockets[2, 4:9, 5:10] = False
+        pockets[2, 6, 10] = False          # a hole opened onto the box's right edge
+        corner = np.zeros((2, 10, 10), dtype=bool)
+        corner[:, :5, :5] = True
+        corner[0, 0:3, 1:3] = False        # a pocket open onto the slice border
+        corner[1, 1:3, 1:3] = False        # a hole on the box's clamped side
+        for fg in (single, flat, pockets, corner):
+            m = head_mask(toy_ct(np.where(fg, 100.0, -600.0)))
+            for si in range(len(fg)):
+                assert np.array_equal(m[si], bfs_largest_component_filled(fg[si]))
+        # corner: the hole is filled, the pocket on the border is not
+        assert m[1].sum() == 25 and m[0].sum() == 25 - 6
+
+    @pytest.mark.parametrize("rows,cols,box", [
+        ((3, 8), (5, 10), (slice(2, 9), slice(4, 11))),    # grown on every side
+        ((0, 5), (9, 14), (slice(0, 6), slice(8, 14))),    # clamped at two borders
+    ])
+    def test_labels_only_the_grown_foreground_box(self, monkeypatch, rows, cols, box):
+        from scipy import ndimage
+
+        fg = np.zeros((3, 14, 14), dtype=bool)
+        fg[0, rows[0]:rows[1], cols[0] + 1:cols[1]] = True
+        fg[1, rows[0] + 1:rows[1], cols[0]:cols[1] - 1] = True
+        fg[2, (rows[0] + rows[1]) // 2, cols[0] + 2] = True
+        label, seen = ndimage.label, []
+
+        def recording(a, *args, **kw):
+            seen.append(np.array(a))
+            return label(a, *args, **kw)
+
+        monkeypatch.setattr(ndimage, "label", recording)
+        m = head_mask(toy_ct(np.where(fg, 100.0, -600.0)))
+        assert [a.shape for a in seen] == [(3, box[0].stop - box[0].start,
+                                            box[1].stop - box[1].start)] * 2
+        assert np.array_equal(seen[0], fg[(slice(None), *box)])
+        # solid rectangles have no holes, so the second labelling sees ~mask
+        assert np.array_equal(seen[1], ~m[(slice(None), *box)])
+
     def test_first_empty_slice_is_named(self):
         native = np.full((5, 8, 8), 100.0)
         native[2] = native[4] = -600.0
