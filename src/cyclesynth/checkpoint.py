@@ -12,6 +12,7 @@ holds a second copy of the payload.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -21,8 +22,8 @@ from .data import HeaderError, TruncatedError, read_header, read_into, write_fra
 CKPT_MAGIC = b"CSYN1"
 
 
-def write_checkpoint(path, arrays, meta=None):
-    """Write named float32 arrays plus a JSON-serializable meta block.
+def write_checkpoint(path, arrays, meta):
+    """Write named float32 arrays plus meta, a JSON-serializable dict.
 
     Entry order in the file follows the iteration order of `arrays`.
     """
@@ -35,7 +36,7 @@ def write_checkpoint(path, arrays, meta=None):
                         "dtype": "f32", "offset": offset})
         chunks.append(arr.reshape(-1).view(np.uint8))
         offset += arr.nbytes
-    manifest = {"meta": meta if meta is not None else {}, "entries": entries}
+    manifest = {"meta": meta, "entries": entries}
     write_framed(path, CKPT_MAGIC, manifest, chunks)
 
 
@@ -48,6 +49,8 @@ def read_checkpoint(path):
             entries = manifest["entries"]
         except (KeyError, TypeError) as e:
             raise HeaderError(f"{path}: unreadable manifest: {e}") from e
+        if not isinstance(meta, dict):
+            raise HeaderError(f"{path}: meta is {json.dumps(meta)}, not a JSON object")
 
         arrays = {}
         expect = 0
@@ -76,3 +79,18 @@ def read_checkpoint(path):
         raise HeaderError(
             f"{path}: {payload - expect} trailing bytes beyond declared payload")
     return arrays, meta
+
+
+def meta_field(path, parent, name, kind):
+    """The meta field `name` of checkpoint `path`, read from the JSON object parent
+    ("a.b" names field b of object a). It must be a JSON object (kind dict) or an
+    integer >= 0 (kind int); a missing field or any other value raises ValueError
+    naming the file."""
+    key = name.rpartition(".")[2]
+    if key not in parent:
+        raise ValueError(f"checkpoint {path}: meta has no {name}")
+    value = parent[key]
+    if isinstance(value, dict) if kind is dict else (type(value) is int and value >= 0):
+        return value
+    want = "a JSON object" if kind is dict else "an integer >= 0"
+    raise ValueError(f"checkpoint {path}: meta {name} must be {want}, got {json.dumps(value)}")

@@ -27,7 +27,7 @@ if _threads:
 import numpy as np
 
 from . import __version__, data, engine, evalx, selfcheck, train
-from .checkpoint import read_checkpoint
+from .checkpoint import meta_field, read_checkpoint
 from .models import generator_forward, params_from_arrays
 
 
@@ -142,17 +142,19 @@ def cmd_train(args):
 # -- infer ----------------------------------------------------------------
 
 _DIRECTIONS = {
-    # direction -> (network key, accepted input modalities, output modality)
-    "mr2ct": ("g_mr2ct", ("MR", "SYNTH_MR"), "SYNTH_CT"),
-    "ct2mr": ("g_ct2mr", ("CT", "SYNTH_CT"), "SYNTH_MR"),
+    # direction -> (network key, input modality family, output modality)
+    "mr2ct": ("g_mr2ct", "MR", "SYNTH_CT"),
+    "ct2mr": ("g_ct2mr", "CT", "SYNTH_MR"),
 }
 
 
 def load_generator(ckpt_path, direction):
-    """Rebuild one generator from a training checkpoint."""
+    """Rebuild one generator from a training checkpoint; returns it with the modality
+    family it reads and the modality it writes."""
     arrays, meta = read_checkpoint(ckpt_path)
-    net_key, accepted, out_modality = _DIRECTIONS[direction]
-    width = int(meta.get("config", {}).get("width_f", 64))
+    net_key, family, out_modality = _DIRECTIONS[direction]
+    config = meta_field(ckpt_path, meta, "config", dict)
+    width = meta_field(ckpt_path, config, "config.width_f", int)
     prefix = f"{net_key}/"
     net = {k[len(prefix):]: a for k, a in arrays.items() if k.startswith(prefix)}
     try:
@@ -160,10 +162,10 @@ def load_generator(ckpt_path, direction):
     except KeyError:
         raise ValueError(
             f"checkpoint {ckpt_path} has no {net_key} network "
-            f"(mode {meta.get('config', {}).get('mode')!r})")
+            f"(mode {config.get('mode')!r})")
     except ValueError as e:
         raise ValueError(f"checkpoint {ckpt_path}: {e}") from e
-    return group, accepted, out_modality
+    return group, family, out_modality
 
 
 # pixels per generator call: 8 slices of 64x64. A call's largest transient, the
@@ -189,11 +191,11 @@ def synthesize_volume(group, vol, out_modality):
 
 
 def cmd_infer(args):
-    group, accepted, out_modality = load_generator(args.ckpt, args.direction)
+    group, family, out_modality = load_generator(args.ckpt, args.direction)
     vol = data.load_volume(args.input)
-    if vol.modality not in accepted:
+    if data.base_modality(vol.modality) != family:
         raise ValueError(f"direction {args.direction} expects a volume with "
-                         f"modality in {accepted}, got {vol.modality!r}")
+                         f"modality in {(family, 'SYNTH_' + family)}, got {vol.modality!r}")
     start = time.perf_counter()
     synth = synthesize_volume(group, vol, out_modality)
     rate = synth.dims[0] / (time.perf_counter() - start)
@@ -237,7 +239,7 @@ def _mask_for(real, synth, source, real_path, synth_path):
     return vol.mask
 
 
-def _eval_rows(pairs_a, pairs_b, mask_from, mode, keep_first=False):
+def _eval_rows(pairs_a, pairs_b, mask_from, mode, keep_first):
     """Rows of run A and, if pairs_b, run B, one real volume at a time: each is read
     once and scored against its A and B volumes, and its real or computed mask is
     taken at most once. pairs_b, if given, holds the same real paths in order.
@@ -250,7 +252,7 @@ def _eval_rows(pairs_a, pairs_b, mask_from, mode, keep_first=False):
         runs = [(rows_a, synth_a)] + ([(rows_b, pairs_b[k][2])] if pairs_b else [])
         for rows, synth_path in runs:
             synth = data.load_volume(synth_path)
-            base = real.modality.removeprefix("SYNTH_"), synth.modality.removeprefix("SYNTH_")
+            base = data.base_modality(real.modality), data.base_modality(synth.modality)
             if base[0] != base[1]:
                 raise ValueError(f"{real_path} vs {synth_path}: modality {base[0]} vs {base[1]}")
             if keep_first and first is None:
@@ -427,8 +429,7 @@ def build_parser():
                    help="second synthesized set for comparison + t-test")
     p.add_argument("--mask-from", choices=("real", "synth", "compute"),
                    default="real")
-    p.add_argument("--psnr-mode", choices=("rmse_corrected", "mse_denominator"),
-                   default="rmse_corrected")
+    p.add_argument("--psnr-mode", choices=evalx.PSNR_MODES, default=evalx.PSNR_MODES[0])
     p.add_argument("--from-csv", default=None,
                    help="read per-volume metrics from a CSV fixture instead")
     p.add_argument("--report", default=None, help="write the report JSON here")

@@ -56,12 +56,15 @@ class EmptyForegroundError(ValueError):
     """Head masking found no voxels above threshold in some slice."""
 
 
+def base_modality(modality):
+    """The family of a real or synthesized modality: "CT" or "MR"."""
+    if modality not in MODALITIES:
+        raise ValueError(f"unknown modality {modality!r}")
+    return modality.removeprefix("SYNTH_")
+
+
 def window_for(modality):
-    if modality in ("CT", "SYNTH_CT"):
-        return CT_WINDOW
-    if modality in ("MR", "SYNTH_MR"):
-        return MR_WINDOW
-    raise ValueError(f"unknown modality {modality!r}")
+    return CT_WINDOW if base_modality(modality) == "CT" else MR_WINDOW
 
 
 @dataclass(eq=False)
@@ -151,10 +154,10 @@ _SLICE_CROSS = np.zeros((3, 3, 3), dtype=bool)
 _SLICE_CROSS[1] = [[0, 1, 0], [1, 1, 1], [0, 1, 0]]
 
 
-def head_mask(ct, threshold_native=HEAD_MASK_THRESHOLD_HU):
+def head_mask(ct):
     """Boolean head-region mask of a CT-like volume.
 
-    Per slice: threshold in native units, keep the largest 4-connected
+    Per slice: threshold at HEAD_MASK_THRESHOLD_HU, keep the largest 4-connected
     component (the first in raster order on ties), fill its holes, the
     background components that touch no slice border. The whole stack is
     labelled at once with in-plane connectivity, so each slice stays
@@ -167,14 +170,14 @@ def head_mask(ct, threshold_native=HEAD_MASK_THRESHOLD_HU):
     """
     from scipy import ndimage  # loaded on first use: phantom, train and infer never mask
 
-    if ct.modality not in ("CT", "SYNTH_CT"):
+    if base_modality(ct.modality) != "CT":
         raise ValueError(f"head_mask needs a CT-like volume, got {ct.modality!r}")
     # the table rises with the level, so the levels above threshold are a suffix
-    fg = ct.voxels >= 256 - np.count_nonzero(level_table(ct.window) > threshold_native)
+    fg = ct.voxels >= 256 - np.count_nonzero(level_table(ct.window) > HEAD_MASK_THRESHOLD_HU)
     empty = ~fg.any(axis=(1, 2))
     if empty.any():
         raise EmptyForegroundError(f"slice {int(np.argmax(empty))}: no voxels above "
-                                   f"{threshold_native} in {ct.modality}")
+                                   f"{HEAD_MASK_THRESHOLD_HU} in {ct.modality}")
     plane = fg.any(axis=0)
     rows, cols = np.flatnonzero(plane.any(axis=1)), np.flatnonzero(plane.any(axis=0))
     box = (slice(None), slice(max(rows[0] - 1, 0), rows[-1] + 2),
@@ -231,14 +234,9 @@ def pad_and_crop(image, target, oy, ox, pad_total):
     return padded[oy:oy + target, ox:ox + target]
 
 
-def augment(image, target, rng, pad_total=None):
-    """Edge-replicate pad to target+pad_total, then uniform random crop of target.
-
-    pad_total=None applies the proportional default; pad_total=0 with an
-    already target-sized image is the identity transform.
-    """
-    if pad_total is None:
-        pad_total = pad_margin(target)
+def augment(image, target, rng):
+    """Edge-replicate pad to target + pad_margin(target), then uniform random crop of target."""
+    pad_total = pad_margin(target)
     oy = int(rng.integers(0, pad_total + 1))
     ox = int(rng.integers(0, pad_total + 1))
     return pad_and_crop(image, target, oy, ox, pad_total)
@@ -338,7 +336,7 @@ def _render(levels, skull, tissue, cavity, blob, noise):
     return img + np.clip(noise * sd, -3.0 * sd, 3.0 * sd)
 
 
-def phantom_generate(spec, seed=0):
+def phantom_generate(spec, seed):
     """Paired SYNTH_MR / SYNTH_CT volumes with recorded CT misalignment.
 
     Geometry and shift decisions come from separate seed streams, so

@@ -66,15 +66,15 @@ def mse(real, synth, mask):
     return float(np.mean(d * d))
 
 
-def psnr(real, synth, mask, mode="rmse_corrected", peak=PSNR_PEAK):
+def psnr(real, synth, mask, mode="rmse_corrected"):
     """Peak signal-to-noise ratio in dB over mask voxels."""
-    value = score(real, synth, mask, mode, peak)[1]
+    value = score(real, synth, mask, mode)[1]
     if value is None:
         raise ZeroMseError("infinite PSNR: volumes are identical inside the mask")
     return value
 
 
-def score(real, synth, mask, mode="rmse_corrected", peak=PSNR_PEAK):
+def score(real, synth, mask, mode="rmse_corrected"):
     """(MAE, PSNR) of one pair from one masked difference; PSNR is None
     where the volumes are identical inside the mask."""
     if mode not in PSNR_MODES:
@@ -82,7 +82,7 @@ def score(real, synth, mask, mode="rmse_corrected", peak=PSNR_PEAK):
     d = _masked_diff(real, synth, mask)
     m = float(np.mean(d * d))
     denom = m if mode == "mse_denominator" else np.sqrt(m)
-    return float(np.mean(np.abs(d))), (float(20.0 * np.log10(peak / denom)) if m else None)
+    return float(np.mean(np.abs(d))), (float(20.0 * np.log10(PSNR_PEAK / denom)) if m else None)
 
 
 @dataclass

@@ -64,12 +64,17 @@ def loss_cycle(i_mr, rec_mr, i_ct, rec_ct):
                       engine.tmean(engine.absolute(rec_ct - i_ct)))
 
 
-def loss_paired(fake_ct, real_ct, score_fake, mu=100.0):
-    """Paired-baseline generator objective: adversarial term plus mu * voxel L1."""
+def voxel_l1(fake_ct, real_ct):
+    """Mean absolute voxel difference of a synthesized and a real batch."""
     if fake_ct.data.shape != real_ct.data.shape:
         raise engine.ShapeError(
             f"paired loss: fake {fake_ct.data.shape} != real {real_ct.data.shape}")
-    l1 = engine.tmean(engine.absolute(fake_ct - real_ct))
+    return engine.tmean(engine.absolute(fake_ct - real_ct))
+
+
+def loss_paired(fake_ct, real_ct, score_fake, mu=100.0):
+    """Paired-baseline generator objective: adversarial term plus mu * voxel L1."""
+    l1 = voxel_l1(fake_ct, real_ct)
     return engine.add(loss_gen_adv(score_fake), float(mu) * l1)
 
 

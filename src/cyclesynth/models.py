@@ -22,7 +22,6 @@ from .engine import Tensor, conv2d, conv_transpose2d, instance_norm
 RESIDUAL_BLOCKS = 9
 LEAKY_SLOPE = 0.2
 INIT_STD = 0.02
-NORM_EPS = 1e-5
 
 # (kernel, stride) per discriminator conv, input to output
 DISC_LAYERS = [(4, 2), (4, 2), (4, 2), (4, 1), (4, 1)]
@@ -82,7 +81,7 @@ class ParamGroup:
             t.data = np.asarray(src, dtype=t.data.dtype)
 
 
-def param_shapes(kind, width=64):
+def param_shapes(kind, width):
     """Ordered name -> shape of every parameter of a network (the checkpoint layout)."""
     shapes = {}
 
@@ -115,7 +114,7 @@ def param_shapes(kind, width=64):
     return shapes
 
 
-def init_params(kind, width=64, rng_seed=0):
+def init_params(kind, width, rng_seed=0):
     """Build a freshly initialized parameter set.
 
     Weights ~ Normal(0, 0.02), biases 0, norm affine at identity;
@@ -147,7 +146,7 @@ def params_from_arrays(kind, width, arrays):
 
 
 def _norm(p, name, y, slope):
-    return instance_norm(y, p[f"{name}.gamma"], p[f"{name}.beta"], eps=NORM_EPS, slope=slope)
+    return instance_norm(y, p[f"{name}.gamma"], p[f"{name}.beta"], slope=slope)
 
 
 def _conv_norm(p, name, x, stride, pad, pad_mode="zeros", slope=0.0):

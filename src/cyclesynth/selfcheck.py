@@ -114,8 +114,8 @@ def _probe(arrays, grads, loss_value, rng, probes, h, tol, what="relative error"
     return err
 
 
-def _fd_gradcheck(build_loss, arrays, rng, probes=20, h=1e-3, tol=1e-2):
-    """Op-level finite-difference check of build_loss's gradient (see _probe). Every
+def _fd_gradcheck(build_loss, arrays, rng, probes):
+    """Op-level finite-difference check (step 1e-3, tolerance 1e-2; see _probe). Every
     array is probed, so a wrong operand gradient cannot hide behind the others."""
     tensors = [engine.Tensor(a, requires_grad=True) for a in arrays]
     engine.backward(build_loss(tensors))
@@ -124,13 +124,13 @@ def _fd_gradcheck(build_loss, arrays, rng, probes=20, h=1e-3, tol=1e-2):
         with engine.no_grad():
             return build_loss([engine.Tensor(a) for a in arrays]).item()
 
-    return _probe(arrays, [t.grad for t in tensors], loss_value, rng, probes, h, tol,
+    return _probe(arrays, [t.grad for t in tensors], loss_value, rng, probes, 1e-3, 1e-2,
                   every_array=True)
 
 
-def _away_from_zero(rng, shape, low=0.2, high=1.0):
+def _away_from_zero(rng, shape):
     # kinked ops (relu family, absolute) are probed at differentiable points
-    mag = rng.uniform(low, high, shape).astype(np.float32)
+    mag = rng.uniform(0.2, 1.0, shape).astype(np.float32)
     sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0).astype(np.float32)
     return mag * sign
 
@@ -153,9 +153,9 @@ def _proj_loss(op):
     return build
 
 
-def op_gradient_checks(rng_seed=0):
+def op_gradient_checks():
     """(name, build_loss, arrays) for every differentiable engine op."""
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
 
     def u(*shape):
         return rng.uniform(-1.0, 1.0, shape).astype(np.float32)
@@ -204,9 +204,9 @@ def op_gradient_checks(rng_seed=0):
     return checks
 
 
-def network_gradcheck(kind, size=None, width=8, probes=24, h=1e-6, tol=1e-2,
-                      seed=0, init_seed=3):
-    """Whole-network finite-difference check on a projection loss.
+def network_gradcheck(kind, probes):
+    """Whole-network finite-difference check on a projection loss: a width-8 net on
+    one 16x16 (generator) or 24x24 (discriminator) image, step 1e-6, tolerance 1e-2.
 
     Runs in float64: stacked relu/leaky-relu layers make the loss piecewise
     at a scale finer than any float32-viable step, so a float32 probe
@@ -215,13 +215,12 @@ def network_gradcheck(kind, size=None, width=8, probes=24, h=1e-6, tol=1e-2,
     piece; measured error is ~1e-9 against the float32-default tolerance.
     Returns the measured max relative error.
     """
-    if size is None:
-        size = 16 if kind == "generator" else 24
+    size = 16 if kind == "generator" else 24
     fwd = (models.generator_forward if kind == "generator"
            else models.discriminator_forward)
     with engine.precision(np.float64):
-        rng = np.random.default_rng(seed)
-        group = models.init_params(kind, width, rng_seed=init_seed)
+        rng = np.random.default_rng(0)
+        group = models.init_params(kind, 8, rng_seed=3)
         names = group.names()
         x = engine.Tensor(rng.uniform(-1.0, 1.0, (1, 1, size, size)))
         proj = engine.Tensor(rng.uniform(-1.0, 1.0,
@@ -233,7 +232,7 @@ def network_gradcheck(kind, size=None, width=8, probes=24, h=1e-6, tol=1e-2,
 
         engine.backward(engine.tsum(fwd(group, x) * proj))
         return _probe([group[n].data for n in names], [group[n].grad for n in names],
-                      loss_value, rng, probes, h, tol, f"{kind} relative error")
+                      loss_value, rng, probes, 1e-6, 1e-2, f"{kind} relative error")
 
 
 # -- non-gradient checks --------------------------------------------------
@@ -342,11 +341,12 @@ def check_checkpoint_roundtrip(tmp):
                                    and all(np.array_equal(a[0][k], b[0][k]) for k in b[0])))
 
 
-def run_all(corrupt_op=None, probes=20, report=None):
+def run_all(corrupt_op, probes, report):
     """Run every check; returns CheckResults in execution order.
 
-    corrupt_op deliberately breaks one engine op's backward for the
-    duration of the gradient checks, to prove the suite catches it.
+    corrupt_op, if not None, deliberately breaks one engine op's backward for
+    the duration of the gradient checks, to prove the suite catches it. report,
+    if not None, is called with one line per check.
     """
     results = []
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import meta_field, read_checkpoint, write_checkpoint
 from .data import augment, pad_and_crop, pad_margin, to_model_range
 from .engine import Tensor
 from .losses import (
@@ -32,6 +32,7 @@ from .losses import (
     loss_gen_adv,
     loss_paired,
     total_generator_loss,
+    voxel_l1,
 )
 from .models import discriminator_forward, generator_forward, init_params
 from .optim import AdamState, adam_step, lr_at
@@ -224,6 +225,9 @@ def train_step_paired(i_mr, i_ct_aligned, nets, opts, cfg, lr):
     g_mr2ct, d_ct = nets["g_mr2ct"], nets["d_ct"]
 
     fake_ct = generator_forward(g_mr2ct, i_mr)
+    with engine.no_grad():
+        # the cycle column carries the unweighted voxel L1, so the log keeps one schema
+        l1 = voxel_l1(fake_ct, i_ct_aligned).item()
     with d_ct.frozen():
         score_fake = discriminator_forward(d_ct, fake_ct)
         adv = _check_finite("g_adv_ct", loss_gen_adv(score_fake))
@@ -232,11 +236,8 @@ def train_step_paired(i_mr, i_ct_aligned, nets, opts, cfg, lr):
         _update(nets, opts, ("g_mr2ct",), gen_loss, lr)
     d_v = _dis_update(nets, opts, "d_ct", i_ct_aligned.data, fake_ct.data, lr)
 
-    adv_v = adv.item()
     gen_v = gen_loss.item()
-    # cycle column carries the unweighted voxel L1 so the log stays one schema
-    l1 = (gen_v - adv_v) / cfg.mu if cfg.mu > 0 else 0.0
-    return LossBreakdown(d_ct=d_v, d_mr=0.0, g_adv_ct=adv_v, g_adv_mr=0.0, cycle=l1,
+    return LossBreakdown(d_ct=d_v, d_mr=0.0, g_adv_ct=adv.item(), g_adv_mr=0.0, cycle=l1,
                          total_g=gen_v, total_d=d_v)
 
 
@@ -355,20 +356,32 @@ def _pack_state(nets, opts, pools, epoch, cfg):
     return arrays, meta
 
 
-def _unpack_state(arrays, meta, nets, opts, pools):
-    for net_name, group in nets.items():
-        group.load_state_arrays(
-            {p: arrays[f"{net_name}/{p}"] for p in group.names()})
-    for net_name, state in opts.items():
-        state.t = int(meta["opt_t"][net_name])
-        for pname in nets[net_name].names():
-            key = f"opt/{net_name}/m/{pname}"
-            if key in arrays:
-                state.m[pname] = arrays[key].copy()
-                state.v[pname] = arrays[f"opt/{net_name}/v/{pname}"].copy()
-    for pool_name, pool in pools.items():
-        count = int(meta.get("pool_sizes", {}).get(pool_name, 0))
-        pool.load_state([arrays[f"pool/{pool_name}/{i:04d}"] for i in range(count)])
+def _unpack_state(arrays, meta, nets, opts, pools, path):
+    """Load the state of checkpoint `path` into nets, opts and pools. A meta field of
+    the wrong type, a missing entry or a pool beyond its capacity raises ValueError
+    naming the file."""
+    opt_t = meta_field(path, meta, "opt_t", dict)
+    steps = {name: meta_field(path, opt_t, f"opt_t.{name}", int) for name in opts}
+    pool_sizes = meta_field(path, meta, "pool_sizes", dict)
+    counts = {name: meta_field(path, pool_sizes, f"pool_sizes.{name}", int) for name in pools}
+    try:
+        for net_name, group in nets.items():
+            group.load_state_arrays(
+                {p: arrays[f"{net_name}/{p}"] for p in group.names()})
+        for net_name, state in opts.items():
+            state.t = steps[net_name]
+            for pname in nets[net_name].names():
+                key = f"opt/{net_name}/m/{pname}"
+                if key in arrays:
+                    state.m[pname] = arrays[key].copy()
+                    state.v[pname] = arrays[f"opt/{net_name}/v/{pname}"].copy()
+        for pool_name, pool in pools.items():
+            pool.load_state([arrays[f"pool/{pool_name}/{i:04d}"]
+                             for i in range(counts[pool_name])])
+    except KeyError as e:
+        raise ValueError(f"checkpoint {path} has no entry {e}") from e
+    except ValueError as e:
+        raise ValueError(f"checkpoint {path}: {e}") from e
 
 
 LOG_HEADER = ["epoch", "iter", "lr", *(f.name for f in fields(LossBreakdown))]
@@ -398,14 +411,14 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
     start_epoch = 0
     if resume_from is not None:
         arrays, meta = read_checkpoint(resume_from)
-        saved = meta.get("config", {})
+        saved = meta_field(resume_from, meta, "config", dict)
         for key, value in cfg.to_dict().items():
             if key not in RESUME_OVERRIDES and saved.get(key) != value:
                 raise ValueError(
                     f"resume config mismatch on {key}: checkpoint has "
                     f"{saved.get(key)!r}, run has {value!r}")
-        _unpack_state(arrays, meta, nets, opts, pools)
-        start_epoch = int(meta["epoch"])
+        _unpack_state(arrays, meta, nets, opts, pools, resume_from)
+        start_epoch = meta_field(resume_from, meta, "epoch", int)
 
     log_path = out_dir / "loss_log.csv"
     kept = []

@@ -137,6 +137,25 @@ def test_train_artifacts(workspace):
         assert len(digest) == 64  # sha256 hex
 
 
+def test_train_no_pool_skips_the_pools_and_resumes_exactly(workspace, tmp_path, monkeypatch):
+    def query(*args):
+        raise AssertionError("ImagePool.query called under --no-pool")
+
+    monkeypatch.setattr(cli.train.ImagePool, "query", query)
+    base = ["train", "--data", str(workspace / "data"), "--no-pool", "--width-f", "4",
+            "--width-d", "4", "--checkpoint-every", "1", "--seed", "3", "--epochs-decay", "0"]
+    assert cli.main(base + ["--out", str(tmp_path / "whole"), "--epochs-fixed", "2"]) == 0
+    assert cli.main(base + ["--out", str(tmp_path / "split"), "--epochs-fixed", "1"]) == 0
+    assert cli.main(base + ["--out", str(tmp_path / "split"), "--epochs-fixed", "2",
+                            "--resume", str(tmp_path / "split" / "ckpt_epoch1.csyn")]) == 0
+    arrays, meta = read_checkpoint(tmp_path / "whole" / "ckpt_epoch2.csyn")
+    assert meta["config"]["use_pool"] is False
+    assert meta["pool_sizes"] == {"ct": 0, "mr": 0}
+    assert not [k for k in arrays if k.startswith("pool/")]
+    for name in ("ckpt_epoch2.csyn", "loss_log.csv"):
+        assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
 def test_train_missing_data_dir(tmp_path):
     assert cli.main(["train", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")]) == 2
@@ -390,6 +409,117 @@ def test_damaged_containers_end_in_a_documented_exit(tiny_containers, role, at, 
         assert str(bad) in err, err
 
 
+# -- checkpoint meta ------------------------------------------------------
+
+_REMOVE = object()
+
+
+def _with_meta(src, dst, path, value):
+    """Copy checkpoint src to dst with the meta field at `path` (a key tuple, () for
+    the whole block) replaced by value, or removed if value is _REMOVE."""
+    raw = src.read_bytes()
+    n = int.from_bytes(raw[5:9], "little")
+    manifest = json.loads(raw[9:9 + n])
+    parent, key = manifest, "meta"
+    for step in path:
+        parent, key = parent[key], step
+    if value is _REMOVE:
+        del parent[key]
+    else:
+        parent[key] = value
+    data.write_framed(dst, raw[:5], manifest, [raw[9 + n:]])
+
+
+# meta fields infer and train --resume read, and the JSON type each must have
+_INFER_FIELDS = {(): dict, ("config",): dict, ("config", "width_f"): int}
+_RESUME_FIELDS = {(): dict, ("config",): dict, ("epoch",): int, ("opt_t",): dict,
+                  ("opt_t", "d_mr"): int, ("pool_sizes",): dict, ("pool_sizes", "ct"): int}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _meta_commands(workspace, ckpt, out):
+    """The infer and train --resume argv that read checkpoint ckpt; the resumed run
+    asks for the checkpoint's one epoch, so it trains nothing."""
+    infer = ["infer", "--ckpt", ckpt, "--in", workspace / "data" / "mr_000.svol",
+             "--direction", "mr2ct", "--out", out / "x.svol"]
+    resume = ["train", "--data", workspace / "data", "--out", out / "r",
+              "--epochs-fixed", "1", "--epochs-decay", "0", "--width-f", "4",
+              "--width-d", "4", "--checkpoint-every", "1", "--seed", "3", "--resume", ckpt]
+    return infer, resume
+
+
+def _run_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main([str(a) for a in argv])
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize("path,value,commands,fragment", [
+    pytest.param((), [], "both", "meta is [], not a JSON object", id="meta-list"),
+    pytest.param(("config",), [1], "both", "meta config must be a JSON object, got [1]",
+                 id="config-list"),
+    pytest.param(("config", "width_f"), None, "infer",
+                 "meta config.width_f must be an integer >= 0, got null", id="width_f-null"),
+    pytest.param(("config", "width_f"), _REMOVE, "infer", "meta has no config.width_f",
+                 id="width_f-removed"),
+    pytest.param(("epoch",), None, "resume", "meta epoch must be an integer >= 0, got null",
+                 id="epoch-null"),
+    pytest.param(("epoch",), _REMOVE, "resume", "meta has no epoch", id="epoch-removed"),
+    pytest.param(("opt_t",), [], "resume", "meta opt_t must be a JSON object, got []",
+                 id="opt_t-list"),
+    pytest.param(("opt_t", "g_mr2ct"), None, "resume",
+                 "meta opt_t.g_mr2ct must be an integer >= 0, got null", id="opt_t-entry-null"),
+    pytest.param(("pool_sizes",), [1], "resume",
+                 "meta pool_sizes must be a JSON object, got [1]", id="pool_sizes-list"),
+    pytest.param(("pool_sizes", "mr"), 5, "resume", "has no entry 'pool/mr/0004'",
+                 id="pool-beyond-its-entries"),
+])
+def test_malformed_checkpoint_meta_exits_2_naming_the_file(workspace, tmp_path, path, value,
+                                                            commands, fragment):
+    # each of these ended in a traceback (AttributeError, TypeError, KeyError), or in
+    # an exit 2 whose message named neither the file nor the field
+    bad = tmp_path / "bad.csyn"
+    _with_meta(workspace / "run" / "ckpt_epoch1.csyn", bad, path, value)
+    infer, resume = _meta_commands(workspace, bad, tmp_path)
+    for argv in {"infer": [infer], "resume": [resume], "both": [infer, resume]}[commands]:
+        rc, err = _run_quietly(argv)
+        assert rc == 2 and err.count("\n") == 1 and err.startswith("error: "), err
+        assert str(bad) in err and fragment in err, err
+
+
+@st.composite
+def _misfit_meta(draw):
+    """(path, value): a meta field infer or train --resume reads, replaced by JSON of
+    another type (for an integer field, also a negative one)."""
+    path, kind = draw(st.sampled_from(sorted({**_INFER_FIELDS, **_RESUME_FIELDS}.items())))
+    value = draw(_JSON.filter(lambda v: not (
+        isinstance(v, dict) if kind is dict else type(v) is int and v >= 0)))
+    return path, value
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_misfit_meta())
+def test_checkpoint_meta_of_any_wrong_type_exits_2_naming_the_file(workspace,
+                                                                   tmp_path_factory, case):
+    """Any meta field infer or train --resume reads, replaced by arbitrary JSON of the
+    wrong type, makes each command that reads it exit 2 with one error line naming
+    the checkpoint."""
+    path, value = case
+    tmp = tmp_path_factory.mktemp("meta")
+    bad = tmp / "bad.csyn"
+    _with_meta(workspace / "run" / "ckpt_epoch1.csyn", bad, path, value)
+    infer, resume = _meta_commands(workspace, bad, tmp)
+    for fields, argv in ((_INFER_FIELDS, infer), (_RESUME_FIELDS, resume)):
+        if path in fields:
+            rc, err = _run_quietly(argv)
+            assert rc == 2 and err.count("\n") == 1 and str(bad) in err, (rc, err)
+
+
 # -- infer ----------------------------------------------------------------
 
 
@@ -534,6 +664,22 @@ def test_eval_directory_without_finite_psnr(workspace, tmp_path, capsys):
     assert cli.main(["eval", "--real", str(cts), "--synth", str(cts),
                      "--mask-from", "compute"]) == 0
     assert "n/a +/- n/a" in capsys.readouterr().out
+
+
+def test_eval_mse_denominator_mode(workspace, tmp_path, capsys):
+    real, synth = (workspace / "data" / f"ct_00{i}.svol" for i in (0, 1))
+    report = tmp_path / "report.json"
+    assert cli.main(["eval", "--real", str(real), "--synth", str(synth), "--mask-from",
+                     "compute", "--psnr-mode", "mse_denominator", "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    assert payload["metric_mode"] == "mse_denominator"
+    a, b = data.load_volume(real), data.load_volume(synth)
+    mask = data.head_mask(a)
+    d = (data.dequantize(a.voxels, a.window) - data.dequantize(b.voxels, b.window))[mask]
+    mse = float(np.mean(d * d))
+    assert payload["rows"][0]["psnr_db"] == pytest.approx(20 * np.log10(4095 / mse), rel=1e-12)
+    assert payload["rows"][0]["psnr_db"] < 0  # the MSE form goes negative at these errors
+    assert f"{payload['rows'][0]['psnr_db']:10.1f}" in capsys.readouterr().out
 
 
 def test_eval_missing_mask_source(workspace, tmp_path, capsys):
@@ -830,9 +976,9 @@ def test_fd_gradcheck_scores_each_operand_on_its_own_scale(probe_seed):
     def build(ts):
         return engine.tsum(engine.mul(ts[0], ts[1]))
 
-    assert selfcheck._fd_gradcheck(build, [x, y], np.random.default_rng(probe_seed)) < 1e-2
+    assert selfcheck._fd_gradcheck(build, [x, y], np.random.default_rng(probe_seed), 20) < 1e-2
     with selfcheck.corrupted_op("mul"), pytest.raises(selfcheck.CheckFailure):
-        selfcheck._fd_gradcheck(build, [x, y], np.random.default_rng(probe_seed))
+        selfcheck._fd_gradcheck(build, [x, y], np.random.default_rng(probe_seed), 20)
 
 
 def test_selfcheck_roundtrip_failures_keep_their_messages(tmp_path, monkeypatch):

@@ -16,6 +16,7 @@ from cyclesynth.data import (
     from_model_range,
     head_mask,
     load_volume,
+    pad_and_crop,
     pad_margin,
     phantom_generate,
     quantize,
@@ -297,7 +298,7 @@ class TestAugment:
 
     def test_zero_margin_is_identity(self):
         img = np.arange(16 * 16, dtype=np.int64).reshape(16, 16)
-        out = augment(img, 16, np.random.default_rng(0), pad_total=0)
+        out = pad_and_crop(img, 16, 0, 0, 0)
         assert np.array_equal(out, img)
 
     def test_oversized_input_rejected(self):

@@ -342,6 +342,23 @@ def test_paired_step_mu_zero_is_pure_adversarial():
     assert b.d_mr == 0.0 and b.g_adv_mr == 0.0
 
 
+@pytest.mark.parametrize("mu", [0.0, 1e-4, 100.0])
+def test_paired_step_logs_the_exact_voxel_l1(mu):
+    # the cycle column was rebuilt as (total_g - g_adv_ct) / mu: 0 at mu 0, and wrong
+    # in the fourth digit at mu 1e-4, where the subtraction cancels
+    cfg = tiny_config(mode="paired_baseline", mu=mu)
+    nets = train.make_networks(cfg)
+    opts = train.make_optimizers(nets)
+    rng = np.random.default_rng(0)
+    i_mr = Tensor(rng.uniform(-1, 1, (2, 1, 32, 32)).astype(np.float32))
+    i_ct = Tensor(rng.uniform(-1, 1, (2, 1, 32, 32)).astype(np.float32))
+    with engine.no_grad():
+        fake = generator_forward(nets["g_mr2ct"], i_mr).data
+    want = float(np.mean(np.abs(fake.astype(np.float64) - i_ct.data)))
+    b = train.train_step_paired(i_mr, i_ct, nets, opts, cfg, 1e-3)
+    assert b.cycle == pytest.approx(want, rel=1e-6)
+
+
 def test_numeric_error_names_first_bad_loss():
     cfg = tiny_config()
     nets, opts, i_mr, i_ct = step_fixture(cfg)
