@@ -270,22 +270,26 @@ def _eval_rows(pairs_a, pairs_b, mask_from, mode, keep_first):
 
 def _rows_from_csv(path):
     """Fixture mode: id,mae,psnr or id,mae_a,psnr_a,mae_b,psnr_b with header."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty CSV, expected a header row")
-        if len(header) not in (3, 5):
-            raise ValueError(f"{path}: expected 3 or 5 columns, got {len(header)}")
-        body = []
-        for r in filter(None, reader):
-            if len(r) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num} has {len(r)} columns, "
-                                 f"expected {len(header)}")
-            vals = [float(v) for v in r[1:]]
-            if not all(map(math.isfinite, vals)):
-                raise ValueError(f"{path}: line {reader.line_num} has a non-finite value")
-            body.append((r[0], vals))
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not a UTF-8 CSV") from e
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty CSV, expected a header row")
+    if len(header) not in (3, 5):
+        raise ValueError(f"{path}: expected 3 or 5 columns, got {len(header)}")
+    body = []
+    for r in filter(None, reader):
+        if len(r) != len(header):
+            raise ValueError(f"{path}: line {reader.line_num} has {len(r)} columns, "
+                             f"expected {len(header)}")
+        vals = [float(v) for v in r[1:]]
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"{path}: line {reader.line_num} has a non-finite value")
+        body.append((r[0], vals))
     def rows(i):
         return [evalx.EvalRow(id=rid, mae_hu=vals[i], psnr_db=vals[i + 1], n_voxels=0)
                 for rid, vals in body]
@@ -334,10 +338,8 @@ def cmd_eval(args):
         if report_b is None:
             payload = report_a.to_json()
         else:
-            payload = json.dumps(
-                {"a": json.loads(report_a.to_json()),
-                 "b": json.loads(report_b.to_json()),
-                 "ttest": ttest}, indent=2, sort_keys=True)
+            payload = json.dumps({"a": report_a.to_dict(), "b": report_b.to_dict(),
+                                  "ttest": ttest}, indent=2, sort_keys=True)
         Path(args.report).write_text(payload)
 
     if args.error_map:

@@ -380,7 +380,8 @@ def write_atomic(path, chunks):
     without a copy) to a temp file beside path, then os.replace it onto path.
 
     A write that raises leaves the previous file at path (or none) and
-    removes its temp file; path never holds a partly written file.
+    removes its temp file; path never holds a partly written file. An OSError
+    is raised again with its errno, naming path rather than the temp file.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
@@ -388,9 +389,11 @@ def write_atomic(path, chunks):
             for chunk in chunks:
                 f.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise OSError(e.errno, e.strerror, os.fspath(path)) from e
         raise
 
 

@@ -99,14 +99,16 @@ class EvalReport:
     aggregate: dict
     metric_mode: str
 
-    def to_json(self):
-        payload = {
+    def to_dict(self):
+        return {
             "metric_mode": self.metric_mode,
             "rows": [{"id": r.id, "mae_hu": r.mae_hu, "psnr_db": r.psnr_db,
                       "n_voxels": r.n_voxels} for r in self.rows],
             "aggregate": self.aggregate,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def aggregate(rows):

@@ -415,10 +415,13 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
         for key, value in cfg.to_dict().items():
             if key not in RESUME_OVERRIDES and saved.get(key) != value:
                 raise ValueError(
-                    f"resume config mismatch on {key}: checkpoint has "
-                    f"{saved.get(key)!r}, run has {value!r}")
+                    f"checkpoint {resume_from}: resume config mismatch on {key}: "
+                    f"checkpoint has {saved.get(key)!r}, run has {value!r}")
         _unpack_state(arrays, meta, nets, opts, pools, resume_from)
         start_epoch = meta_field(resume_from, meta, "epoch", int)
+        if start_epoch > cfg.total_epochs:
+            raise ValueError(f"checkpoint {resume_from}: epoch {start_epoch} is past the "
+                             f"run's last epoch {cfg.total_epochs}")
 
     log_path = out_dir / "loss_log.csv"
     kept = []

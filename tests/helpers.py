@@ -1,8 +1,7 @@
 """Shared test oracles.
 
-The finite-difference machinery here is deliberately independent of the
-engine's backward pass: it only ever calls forward code, so it can vouch
-for the analytic gradients.
+The gradient oracle uses selfcheck's finite differences, which only ever
+call forward code, so they can vouch for the engine's analytic gradients.
 """
 
 import contextlib
@@ -11,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 
-from cyclesynth import engine
+from cyclesynth import engine, selfcheck
 
 
 @contextlib.contextmanager
@@ -35,19 +34,6 @@ def traced_peak(fn):
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def central_diff(loss_fn, arrays, t_idx, flat_idx, h):
-    """Central finite difference of loss_fn w.r.t. one coordinate.
-
-    loss_fn takes a list of plain numpy arrays and returns a float.
-    """
-    bumped = [a.copy() for a in arrays]
-    bumped[t_idx].flat[flat_idx] += h
-    hi = loss_fn(bumped)
-    bumped[t_idx].flat[flat_idx] -= 2 * h
-    lo = loss_fn(bumped)
-    return (hi - lo) / (2 * h)
 
 
 def bfs_largest_component_filled(fg):
@@ -98,41 +84,26 @@ def bfs_largest_component_filled(fg):
     return mask | (bg & ~reached)
 
 
-def gradcheck(build_loss, arrays, rng, probes=20, h=1e-3, tol=1e-2, wrt=None):
-    """Compare engine gradients against central differences.
+def gradcheck(build_loss, arrays, rng, probes=20, h=1e-3, tol=1e-2, wrt=None,
+              every_array=True):
+    """Compare engine gradients against selfcheck._probe's central differences.
 
-    build_loss maps a list of Tensors to a scalar Tensor. Only the arrays
-    whose indices are in wrt (default: all) require grad and are probed.
-    Returns the max deviation normalized by the largest gradient magnitude
-    seen, and asserts it is within tol.
+    build_loss maps a list of Tensors to a scalar Tensor. Only the arrays whose
+    indices are in wrt (default: all) require grad and are probed. Each probed
+    array is scored on its own gradient scale; a whole-network check passes
+    every_array=False to keep one scale, for the reason _probe gives. Returns the
+    max relative error; raises selfcheck.CheckFailure beyond tol.
     """
     wrt = range(len(arrays)) if wrt is None else wrt
     tensors = [engine.Tensor(a, requires_grad=i in wrt) for i, a in enumerate(arrays)]
-    loss = build_loss(tensors)
-    engine.backward(loss)
-    grads = [t.grad for t in tensors]
-    assert all((g is not None) == (i in wrt) for i, g in enumerate(grads))
+    engine.backward(build_loss(tensors))
+    assert all((t.grad is not None) == (i in wrt) for i, t in enumerate(tensors))
+    # the engine-dtype arrays: _probe bumps them in place and the loss is rebuilt from them
+    plain = [t.data for t in tensors]
 
-    def loss_value(plain):
+    def loss_value():
         with engine.no_grad():
             return build_loss([engine.Tensor(a) for a in plain]).item()
 
-    analytic = []
-    numeric = []
-    sizes = [a.size if i in wrt else 0 for i, a in enumerate(arrays)]
-    total = sum(sizes)
-    for _ in range(probes):
-        pick = int(rng.integers(total))
-        t_idx = 0
-        while pick >= sizes[t_idx]:
-            pick -= sizes[t_idx]
-            t_idx += 1
-        analytic.append(float(grads[t_idx].flat[pick]))
-        numeric.append(central_diff(loss_value, arrays, t_idx, pick, h))
-
-    analytic = np.asarray(analytic)
-    numeric = np.asarray(numeric)
-    scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-8)
-    err = float(np.abs(analytic - numeric).max() / scale)
-    assert err <= tol, f"gradient mismatch: relative error {err:.3e} > {tol:.1e}"
-    return err
+    return selfcheck._probe([plain[i] for i in wrt], [tensors[i].grad for i in wrt],
+                            loss_value, rng, probes, h, tol, every_array=every_array)

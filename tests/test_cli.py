@@ -21,7 +21,7 @@ from cyclesynth import cli, data, engine, evalx, selfcheck
 from cyclesynth.checkpoint import read_checkpoint, write_checkpoint
 from cyclesynth.models import init_params, param_shapes
 
-from helpers import traced_peak
+from helpers import gradcheck, traced_peak
 
 MAE_A = [70.3, 76.2, 75.5, 75.2, 72.0, 73.0]
 PSNR_A = [31.1, 32.1, 32.9, 32.9, 32.3, 32.5]
@@ -319,7 +319,30 @@ def test_train_resume_rejects_other_seed(workspace, tmp_path, capsys):
                      "--width-f", "4", "--width-d", "4", "--checkpoint-every", "1",
                      "--seed", "4",
                      "--resume", str(workspace / "run" / "ckpt_epoch1.csyn")]) == 2
-    assert "resume config mismatch on seed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "resume config mismatch on seed" in err
+    assert f"checkpoint {workspace / 'run' / 'ckpt_epoch1.csyn'}:" in err
+
+
+def test_train_resume_past_the_last_epoch_exits_2_and_keeps_the_log(workspace, tmp_path,
+                                                                     capsys):
+    # the checkpoint holds epoch 1; a run of 0 epochs has nothing to resume into
+    ckpt = workspace / "run" / "ckpt_epoch1.csyn"
+    out = tmp_path / "resumed"
+    out.mkdir()
+    log = (workspace / "run" / "loss_log.csv").read_bytes()
+    (out / "loss_log.csv").write_bytes(log)
+    argv = ["train", "--data", str(workspace / "data"), "--out", str(out),
+            "--epochs-decay", "0", "--width-f", "4", "--width-d", "4",
+            "--checkpoint-every", "1", "--seed", "3", "--resume", str(ckpt)]
+    assert cli.main(argv + ["--epochs-fixed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: checkpoint {ckpt}: epoch 1 ")
+    assert (out / "loss_log.csv").read_bytes() == log
+    # a resume at exactly the last epoch has nothing left to train, and succeeds
+    assert cli.main(argv + ["--epochs-fixed", "1"]) == 0
+    assert capsys.readouterr().out.startswith("trained 0 epochs")
+    assert (out / "loss_log.csv").read_bytes() == log
 
 
 # -- damaged containers ---------------------------------------------------
@@ -586,6 +609,24 @@ def test_infer_checkpoint_of_another_width_names_the_file(workspace, tmp_path, c
                      "--direction", "mr2ct", "--out", str(tmp_path / "x.svol")]) == 2
     assert capsys.readouterr().err == (f"error: checkpoint {ckpt}: parameter stem.w: "
                                        "shape (4, 1, 7, 7) != (5, 1, 7, 7)\n")
+
+
+@pytest.mark.parametrize("case", ["out-is-a-directory", "out-in-missing-directory",
+                                  "checkpoint-as-csv"])
+def test_path_errors_name_the_path_passed(workspace, tmp_path, capsys, case):
+    ckpt = workspace / "run" / "ckpt_epoch1.csyn"
+    (tmp_path / "d").mkdir()
+    if case == "checkpoint-as-csv":
+        path, argv = ckpt, ["eval", "--from-csv", str(ckpt)]
+    else:
+        path = tmp_path / "d" if case == "out-is-a-directory" else tmp_path / "nodir" / "x.svol"
+        argv = ["infer", "--ckpt", str(ckpt), "--in", str(workspace / "data" / "mr_000.svol"),
+                "--direction", "mr2ct", "--out", str(path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(path) in err and ".tmp" not in err, err
+    assert [p.name for p in tmp_path.rglob("*")] == ["d"]  # no temp file left behind
 
 
 def test_infer_roundtrip_volume_is_wellformed(workspace, tmp_path):
@@ -965,8 +1006,12 @@ def test_selfcheck_catches_every_probed_op_at_8_probes(capsys, op):
         assert f"[FAIL] grad/{name}  (" in out
 
 
-@pytest.mark.parametrize("probe_seed", range(10))
-def test_fd_gradcheck_scores_each_operand_on_its_own_scale(probe_seed):
+# both entry points onto selfcheck._probe: selfcheck's op check (id: the probe seed)
+# and the tests' gradcheck helper (id: helpers-<seed>)
+@pytest.mark.parametrize("check,probe_seed",
+                         [pytest.param(selfcheck._fd_gradcheck, s, id=str(s)) for s in range(10)]
+                         + [pytest.param(gradcheck, s, id=f"helpers-{s}") for s in range(10)])
+def test_fd_gradcheck_scores_each_operand_on_its_own_scale(check, probe_seed):
     # d/dx sum(x * y) = y is a hundred times smaller than d/dy = x: a spoiled x
     # gradient deviates by under 1% of the largest gradient, but by a third of y's
     rng = np.random.default_rng(0)
@@ -976,9 +1021,9 @@ def test_fd_gradcheck_scores_each_operand_on_its_own_scale(probe_seed):
     def build(ts):
         return engine.tsum(engine.mul(ts[0], ts[1]))
 
-    assert selfcheck._fd_gradcheck(build, [x, y], np.random.default_rng(probe_seed), 20) < 1e-2
+    assert check(build, [x, y], np.random.default_rng(probe_seed), 20) < 1e-2
     with selfcheck.corrupted_op("mul"), pytest.raises(selfcheck.CheckFailure):
-        selfcheck._fd_gradcheck(build, [x, y], np.random.default_rng(probe_seed), 20)
+        check(build, [x, y], np.random.default_rng(probe_seed), 20)
 
 
 def test_selfcheck_roundtrip_failures_keep_their_messages(tmp_path, monkeypatch):

@@ -647,9 +647,13 @@ class TestGradientOracle:
         x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
         gamma = (1.0 + 0.3 * rng.normal(size=3)).astype(np.float32)
         beta = rng.normal(size=3).astype(np.float32)
+        proj = rng.normal(size=x.shape).astype(np.float32)
 
+        # a projection loss: mean(norm^2) would see x only through var/(var+eps) and
+        # leave dx at rounding size. The planes' non-zero means exercise the backward's
+        # re-centring, which the mean-0 fused-norm inputs do not
         def build(ts):
-            return engine.tmean(engine.square(instance_norm(ts[0], ts[1], ts[2])))
+            return engine.tsum(engine.mul(instance_norm(ts[0], ts[1], ts[2]), Tensor(proj)))
 
         gradcheck(build, [x, gamma, beta], rng)
 
