@@ -124,6 +124,7 @@ def cmd_train(args):
         "command": "train",
         "config": cfg.to_dict(),
         "threads": os.environ.get("CYCLESYNTH_THREADS"),
+        "cycle_processes": train.cycle_processes(cfg),
         "resume_from": str(args.resume) if args.resume else None,
         "inputs": {str(p): _sha256(p) for p in mr_paths + ct_paths},
         "outputs": {"dir": str(out), "log": str(out / "loss_log.csv"),
@@ -286,7 +287,10 @@ def _rows_from_csv(path):
         if len(r) != len(header):
             raise ValueError(f"{path}: line {reader.line_num} has {len(r)} columns, "
                              f"expected {len(header)}")
-        vals = [float(v) for v in r[1:]]
+        try:
+            vals = [float(v) for v in r[1:]]
+        except ValueError:
+            raise ValueError(f"{path}: line {reader.line_num} has a non-numeric value") from None
         if not all(map(math.isfinite, vals)):
             raise ValueError(f"{path}: line {reader.line_num} has a non-finite value")
         body.append((r[0], vals))

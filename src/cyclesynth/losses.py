@@ -52,24 +52,27 @@ def loss_gen_adv(score_fake):
     return _mean_sq_toward(score_fake, 1.0)
 
 
+def l1_distance(x, target, what):
+    """Mean absolute difference of x and target, which must share a shape; a
+    mismatch raises ShapeError naming the pair as `what` (x, target)."""
+    if x.data.shape != target.data.shape:
+        raise engine.ShapeError(f"{what[0]} {x.data.shape} != {what[1]} {target.data.shape}")
+    return engine.tmean(engine.absolute(x - target))
+
+
+def cycle_l1(original, rec):
+    """One cycle direction's term: mean absolute reconstruction error."""
+    return l1_distance(rec, original, ("cycle loss: reconstruction", "original"))
+
+
 def loss_cycle(i_mr, rec_mr, i_ct, rec_ct):
     """Mean absolute reconstruction error summed over both cycle directions."""
-    if i_mr.data.shape != rec_mr.data.shape:
-        raise engine.ShapeError(
-            f"cycle loss: reconstruction {rec_mr.data.shape} != original {i_mr.data.shape}")
-    if i_ct.data.shape != rec_ct.data.shape:
-        raise engine.ShapeError(
-            f"cycle loss: reconstruction {rec_ct.data.shape} != original {i_ct.data.shape}")
-    return engine.add(engine.tmean(engine.absolute(rec_mr - i_mr)),
-                      engine.tmean(engine.absolute(rec_ct - i_ct)))
+    return engine.add(cycle_l1(i_mr, rec_mr), cycle_l1(i_ct, rec_ct))
 
 
 def voxel_l1(fake_ct, real_ct):
     """Mean absolute voxel difference of a synthesized and a real batch."""
-    if fake_ct.data.shape != real_ct.data.shape:
-        raise engine.ShapeError(
-            f"paired loss: fake {fake_ct.data.shape} != real {real_ct.data.shape}")
-    return engine.tmean(engine.absolute(fake_ct - real_ct))
+    return l1_distance(fake_ct, real_ct, ("paired loss: fake", "real"))
 
 
 def loss_paired(fake_ct, real_ct, score_fake, mu=100.0):

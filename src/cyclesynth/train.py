@@ -1,9 +1,12 @@
 """Training orchestration: the two-generator cycle loop and the paired baseline.
 
 One unpaired iteration runs the forward cycle (MR -> CT -> MR) and the
-backward cycle (CT -> MR -> CT), updates both generators jointly on the
-adversarial terms plus the weighted cycle loss, then updates each
-discriminator on real slices versus pool-sampled synthesized ones.
+backward cycle (CT -> MR -> CT). Each backpropagates its adversarial term plus
+the weighted cycle term into both generators and updates its discriminator on
+real slices versus pool-sampled synthesized ones; both generators then take
+one Adam step on the sum of the two cycles' gradients. Under a BLAS thread cap
+with CPUs to spare, the backward cycle runs in a worker process
+(cycle_processes), with byte-identical results.
 
 Determinism contract: every random choice of an epoch (slice order,
 crop offsets, pool sampling) is drawn from streams derived from
@@ -16,6 +19,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import zlib
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
@@ -25,8 +30,9 @@ from . import engine
 from .checkpoint import meta_field, read_checkpoint, write_checkpoint
 from .data import augment, pad_and_crop, pad_margin, to_model_range
 from .engine import Tensor
-from .losses import (
+from .losses import (  # loss_cycle, total_generator_loss: wrapped by name when traced
     LossBreakdown,
+    cycle_l1,
     loss_cycle,
     loss_dis,
     loss_gen_adv,
@@ -184,36 +190,79 @@ def _dis_update(nets, opts, name, real, fake, lr):
     return loss.item()
 
 
-def train_step_unpaired(i_mr, i_ct, nets, opts, pool_ct, pool_mr, cfg, lr,
-                        pool_rng_ct, pool_rng_mr):
-    """One generator update and two discriminator updates; returns the breakdown."""
-    g_mr2ct, g_ct2mr = nets["g_mr2ct"], nets["g_ct2mr"]
-    d_ct, d_mr = nets["d_ct"], nets["d_mr"]
+# the cycle each discriminator scores: the generator into its domain, then back
+_CYCLES = {"d_ct": ("g_mr2ct", "g_ct2mr"), "d_mr": ("g_ct2mr", "g_mr2ct")}
+_GENERATORS = ("g_mr2ct", "g_ct2mr")
 
-    # forward cycle MR -> CT -> MR and backward cycle CT -> MR -> CT
-    fake_ct = generator_forward(g_mr2ct, i_mr)
-    rec_mr = generator_forward(g_ct2mr, fake_ct)
-    fake_mr = generator_forward(g_ct2mr, i_ct)
-    rec_ct = generator_forward(g_mr2ct, fake_mr)
 
-    # the discriminators only score the fakes here: no weight gradients for them
-    with d_ct.frozen(), d_mr.frozen():
-        g_adv_ct = _check_finite("g_adv_ct", loss_gen_adv(discriminator_forward(d_ct, fake_ct)))
-        g_adv_mr = _check_finite("g_adv_mr", loss_gen_adv(discriminator_forward(d_mr, fake_mr)))
-        cyc = _check_finite("cycle", loss_cycle(i_mr, rec_mr, i_ct, rec_ct))
-        total_g = total_generator_loss(g_adv_ct, g_adv_mr, cyc, cfg.lam)
-        _update(nets, opts, ("g_mr2ct", "g_ct2mr"), total_g, lr)
+def _generator_tensors(nets):
+    return [t for name in _GENERATORS for t in nets[name].tensors()]
 
-    # discriminators train on detached fakes routed through the pools
-    fake_ct_d = fake_ct.data
-    fake_mr_d = fake_mr.data
+
+def _cycle_half(d_name, source, real, nets, opts, pool, pool_rng, cfg, lr):
+    """One cycle's half of an unpaired step. `source` goes through both generators and
+    back; backward of adv + lam * L1(rec, source), with d_name frozen, gives each
+    generator parameter its one gradient from this cycle. Then d_name updates on
+    `real` versus the (pooled) fake; that update clears the tensors' gradients, not the
+    arrays kept here. Returns the float32 adv, L1 and d_name losses and the generators'
+    gradients, in tensor order; checking them is the caller's."""
+    first, second = _CYCLES[d_name]
+    fake = generator_forward(nets[first], source)
+    rec = generator_forward(nets[second], fake)
+    with nets[d_name].frozen():
+        adv = loss_gen_adv(discriminator_forward(nets[d_name], fake))
+        l1 = cycle_l1(source, rec)
+        for net in nets.values():
+            net.zero_grad()
+        engine.backward(engine.add(adv, float(cfg.lam) * l1))
+    grads = [t.grad for t in _generator_tensors(nets)]
+    fake_d = fake.data
     if cfg.use_pool:
-        fake_ct_d = pool_ct.query(fake_ct_d, pool_rng_ct)
-        fake_mr_d = pool_mr.query(fake_mr_d, pool_rng_mr)
-    d_ct_v = _dis_update(nets, opts, "d_ct", i_ct.data, fake_ct_d, lr)
-    d_mr_v = _dis_update(nets, opts, "d_mr", i_mr.data, fake_mr_d, lr)
+        fake_d = pool.query(fake_d, pool_rng)
+    d_loss = _dis_loss(nets[d_name], real.data, fake_d)
+    _update(nets, opts, (d_name,), d_loss, lr)
+    return adv.item(), l1.item(), d_loss.item(), grads
 
-    g_ct, g_mr, c = g_adv_ct.item(), g_adv_mr.item(), cyc.item()
+
+def _generator_step(nets, opts, grads, lr):
+    """Adam-step both generators on grads, the two cycles' summed gradients."""
+    for net in nets.values():
+        net.zero_grad()
+    for t, g in zip(_generator_tensors(nets), grads):
+        t.grad = g
+    for name in _GENERATORS:
+        adam_step(nets[name], opts[name], lr)
+
+
+def train_step_unpaired(i_mr, i_ct, nets, opts, pool_ct, pool_mr, cfg, lr,
+                        pool_rng_ct, pool_rng_mr, worker):
+    """One generator update and two discriminator updates; returns the breakdown.
+
+    The generator loss is a sum over the two cycles, and each generator parameter
+    takes one gradient from each, so adding the two halves' gradients gives the joint
+    backward's bits. This process runs the forward cycle MR -> CT -> MR and updates
+    d_ct. The backward cycle CT -> MR -> CT and d_mr's update run after it here, or,
+    with a worker (a _CycleWorker), at the same time in the worker, which then holds
+    d_mr, pool_mr and its stream; pool_mr and pool_rng_mr go unused.
+    """
+    if worker is not None:
+        worker.start(i_mr, i_ct, lr)
+    g_ct, l1_mr, d_ct_v, grads = _cycle_half("d_ct", i_mr, i_ct, nets, opts, pool_ct,
+                                             pool_rng_ct, cfg, lr)
+    if worker is None:
+        g_mr, l1_ct, d_mr_v, bwd = _cycle_half("d_mr", i_ct, i_mr, nets, opts, pool_mr,
+                                               pool_rng_mr, cfg, lr)
+        for g, other in zip(grads, bwd):
+            g += other
+        del bwd  # freed before the first Adam step allocates the moments
+    else:
+        g_mr, l1_ct, d_mr_v = worker.exchange(grads)
+    c = engine.add(Tensor(l1_mr), Tensor(l1_ct)).item()
+    for name, value in (("g_adv_ct", g_ct), ("g_adv_mr", g_mr), ("cycle", c),
+                        ("d_ct", d_ct_v), ("d_mr", d_mr_v)):
+        if not math.isfinite(value):
+            raise NumericError(f"non-finite value in {name}")
+    _generator_step(nets, opts, grads, lr)
     return LossBreakdown(d_ct=d_ct_v, d_mr=d_mr_v, g_adv_ct=g_ct, g_adv_mr=g_mr, cycle=c,
                          total_g=g_ct + g_mr + cfg.lam * c, total_d=d_ct_v + d_mr_v)
 
@@ -239,6 +288,173 @@ def train_step_paired(i_mr, i_ct_aligned, nets, opts, cfg, lr):
     gen_v = gen_loss.item()
     return LossBreakdown(d_ct=d_v, d_mr=0.0, g_adv_ct=adv.item(), g_adv_mr=0.0, cycle=l1,
                          total_g=gen_v, total_d=d_v)
+
+
+# -- the backward cycle in a worker process --------------------------------
+
+
+def cycle_processes(cfg):
+    """Processes an unpaired step runs in. 2 when a BLAS thread cap is set
+    (CYCLESYNTH_THREADS) and this process may run on at least twice that many CPUs:
+    the backward cycle then runs in a worker, on CPUs that would otherwise sit idle.
+    Else 1, as in paired mode, which has one cycle."""
+    cap = os.environ.get("CYCLESYNTH_THREADS", "")
+    if (cfg.mode != "unpaired_cycle" or not cap.isdigit() or int(cap) < 1
+            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")):
+        return 1
+    return 2 if len(os.sched_getaffinity(0)) >= 2 * int(cap) else 1
+
+
+def _generators_crc(nets, opts):
+    """Checksum of both generators' parameters, Adam moments and step counts."""
+    crc = 0
+    for name in _GENERATORS:
+        state = opts[name]
+        crc = zlib.crc32(str(state.t).encode(), crc)
+        for pname, t in nets[name].items():
+            for a in (t.data, state.m[pname], state.v[pname]):
+                crc = zlib.crc32(np.ascontiguousarray(a).data, crc)
+    return crc
+
+
+class _CycleWorker:
+    """The backward cycle of every unpaired step, run in a forked child process.
+
+    Fork gives the child a copy of this process's networks, Adam state and pools as they
+    are at the first step, so the copies start equal with nothing sent or imported, in
+    milliseconds; it also copies any wrapper patched onto module functions. The program
+    runs no threads of its own, and OpenBLAS stops its thread pool around a fork.
+
+    From then on the child owns d_mr, pool_mr and pool_mr's stream. Both generators'
+    gradients pass through one shared-memory slot: the child puts its cycle's there,
+    this process adds them to its own and puts back the sums, and both take the same
+    Adam steps on those bits, which keeps the two copies of the generators equal.
+    Everything else goes through a pipe.
+    """
+
+    def __init__(self, nets, opts, pool, cfg):
+        import multiprocessing
+        from multiprocessing.connection import wait
+
+        ctx = multiprocessing.get_context("fork")
+        self._wait = wait
+        self._shared = ctx.RawArray("f", sum(t.data.size for t in _generator_tensors(nets)))
+        self._slot, k = [], 0
+        flat = np.frombuffer(self._shared, dtype=np.float32)
+        for t in _generator_tensors(nets):
+            self._slot.append(flat[k:k + t.data.size].reshape(t.data.shape))
+            k += t.data.size
+        self._conn, child_end = ctx.Pipe()
+        self._proc = ctx.Process(target=_worker_main, name="cyclesynth-backward-cycle",
+                                 args=(child_end, self._conn, nets, opts, pool, cfg,
+                                       self._slot), daemon=True)
+        self._proc.start()
+        child_end.close()
+
+    def _died(self):
+        self._proc.join(1.0)
+        return ChildProcessError(f"backward-cycle worker (pid {self._proc.pid}) exited "
+                                 f"with code {self._proc.exitcode}")
+
+    def _send(self, msg):
+        try:
+            self._conn.send(msg)
+        except OSError:
+            raise self._died() from None
+
+    def _recv(self):
+        ready = self._wait([self._conn, self._proc.sentinel])
+        if self._conn in ready:
+            try:
+                msg = self._conn.recv()
+            except EOFError:
+                raise self._died() from None
+            if msg[0] == "error":
+                raise ChildProcessError(f"backward-cycle worker (pid {self._proc.pid}) "
+                                        f"failed: {msg[1]}")
+            return msg[1:]
+        raise self._died()
+
+    def begin_epoch(self, pool_rng):
+        self._send(("epoch", pool_rng))
+
+    def start(self, i_mr, i_ct, lr):
+        self._send(("step", i_mr.data, i_ct.data, lr))
+
+    def exchange(self, grads):
+        """Wait for the backward cycle, add its gradients into grads and hand the sums
+        back; returns its adv, L1 and d_mr losses."""
+        losses = self._recv()
+        for g, shared in zip(grads, self._slot):
+            g += shared
+            shared[...] = g
+        self._send(("sums",))
+        return losses
+
+    def sync(self, nets, opts, pool):
+        """Load the worker's d_mr, its Adam state and pool_mr into nets, opts and pool;
+        its generators and their Adam state must equal this process's."""
+        self._send(("state",))
+        crc = _generators_crc(nets, opts)
+        params, (t, m, v), images, worker_crc = self._recv()
+        if worker_crc != crc:
+            raise ChildProcessError(f"backward-cycle worker (pid {self._proc.pid}) holds "
+                                    "generators that differ from this process's")
+        nets["d_mr"].load_state_arrays(params)
+        opts["d_mr"].t, opts["d_mr"].m, opts["d_mr"].v = t, m, v
+        pool.load_state(images)
+
+    def close(self):
+        """End the worker (closing the pipe ends its loop) and free the shared memory."""
+        self._conn.close()
+        self._proc.join(5.0)
+        if self._proc.exitcode is None:
+            self._proc.kill()
+            self._proc.join()
+        self._proc.close()
+        self._slot = self._shared = None
+
+
+def _worker_main(conn, parent_end, nets, opts, pool, cfg, slot):
+    """The worker's loop: one backward cycle per step message until the pipe closes.
+    It prints nothing: an error goes back as a message, and the worker then waits for
+    the pipe to close."""
+    import signal
+
+    parent_end.close()  # so that the main process's exit closes the pipe
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the main process's to handle
+    pool_rng = None
+    try:
+        with np.errstate(all="ignore"):
+            while True:
+                msg = conn.recv()
+                if msg[0] == "epoch":
+                    pool_rng = msg[1]
+                elif msg[0] == "state":
+                    d_mr, state = nets["d_mr"], opts["d_mr"]
+                    conn.send(("state", {n: t.data for n, t in d_mr.items()},
+                               (state.t, state.m, state.v), pool.state_arrays(),
+                               _generators_crc(nets, opts)))
+                else:
+                    _, i_mr, i_ct, lr = msg
+                    *losses, grads = _cycle_half("d_mr", Tensor(i_ct), Tensor(i_mr), nets,
+                                                 opts, pool, pool_rng, cfg, lr)
+                    for shared, g in zip(slot, grads):
+                        shared[...] = g
+                    conn.send(("done", *losses))
+                    conn.recv()  # the sums are in the slot
+                    for shared, g in zip(slot, grads):
+                        g[...] = shared
+                    _generator_step(nets, opts, grads, lr)
+    except EOFError:
+        pass
+    except Exception as e:  # any failure goes back as one line
+        try:
+            conn.send(("error", f"{type(e).__name__}: {e}"))
+            while True:  # until the main process, which reads it, closes the pipe
+                conn.recv()
+        except (OSError, EOFError):
+            pass
 
 
 # -- dataset plumbing -----------------------------------------------------
@@ -444,6 +660,8 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
     mr_index = _slice_index(mr_vols)
     ct_index = _slice_index(ct_vols)
     total = cfg.total_epochs
+    split = cycle_processes(cfg) == 2
+    worker = None
 
     try:
         for epoch in range(start_epoch, total):
@@ -457,6 +675,9 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
                 ct_seq = _epoch_order(ct_index, length, rng["order_ct"])
                 if len(mr_vols) > 1 and len(ct_vols) > 1:
                     ct_seq = _fix_same_volume_pairs(mr_seq, ct_seq)
+                if split:
+                    worker = worker or _CycleWorker(nets, opts, pools["mr"], cfg)
+                    worker.begin_epoch(rng["pool_mr"])
             else:
                 length = len(mr_index)
                 mr_seq = _epoch_order(mr_index, length, rng["order_mr"])
@@ -469,12 +690,14 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
                     i_ct = _batch_tensor(ct_vols, ct_seq[part], crop, rng["augment"])
                     b = train_step_unpaired(i_mr, i_ct, nets, opts,
                                             pools["ct"], pools["mr"], cfg, lr,
-                                            rng["pool_ct"], rng["pool_mr"])
+                                            rng["pool_ct"], rng["pool_mr"], worker)
                 else:
                     i_mr, i_ct = _paired_batch(mr_vols, ct_vols, mr_seq[part],
                                                crop, rng["augment"])
                     b = train_step_paired(i_mr, i_ct, nets, opts, cfg, lr)
                 log.writerow([epoch, it, f"{lr:.8g}", *(f"{v:.6g}" for v in astuple(b))])
+            if worker is not None:
+                worker.sync(nets, opts, pools["mr"])
             _check_state_finite(nets, opts)
             log_f.flush()
 
@@ -485,6 +708,8 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
                 write_checkpoint(final_ckpt, arrays, meta)
     finally:
         log_f.close()
+        if worker is not None:
+            worker.close()
 
     return {"final_checkpoint": str(final_ckpt), "log": str(log_path),
             "epochs_run": total - start_epoch, "nets": nets, "opts": opts}

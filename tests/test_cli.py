@@ -814,6 +814,11 @@ def test_eval_table1_fixture(tmp_path, capsys):
     pytest.param("id,mae,psnr\np0,70.3,31.1\np1,76.2\n", "line 3 has 2 columns", id="short-row"),
     pytest.param("id,mae_a,psnr_a,mae_b,psnr_b\np0,70.3,31.1,86.2\n", "line 2 has 4 columns",
                  id="short-row-5"),
+    # float() used to raise unhandled: "could not convert string to float: 'abc'"
+    pytest.param("id,mae,psnr\nv0,abc,30\n", "fixture.csv: line 2 has a non-numeric value",
+                 id="non-numeric"),
+    pytest.param("id,mae_a,psnr_a,mae_b,psnr_b\np0,70.3,31.1,86.2,29.3\np1,70,31,x,29\n",
+                 "fixture.csv: line 3 has a non-numeric value", id="non-numeric-5"),
 ])
 def test_eval_bad_csv_exits_2(tmp_path, capsys, text, fragment):
     csv_path = tmp_path / "fixture.csv"
@@ -1098,10 +1103,13 @@ def test_phantom_train_infer_never_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("case", ["train-overflow", "one-volume-eval"])
+@pytest.mark.parametrize("case", ["train-overflow", "one-volume-eval",
+                                  "train-overflow-two-processes"])
 def test_a_failing_command_prints_one_line(workspace, tmp_path, case):
     # numpy's float warnings and the one-row SD warning used to come first
-    if case == "train-overflow":
+    # under a thread cap of 1 on two or more CPUs the backward cycle runs in a worker
+    threads = {"CYCLESYNTH_THREADS": "1"} if case.endswith("two-processes") else {}
+    if case.startswith("train-overflow"):
         args = ["train", "--data", str(workspace / "data"), "--out", str(tmp_path / "run"),
                 "--lambda", "1e30", "--limit-volumes", "1", "--epochs-fixed", "1",
                 "--epochs-decay", "0", "--width-f", "4", "--width-d", "4"]
@@ -1113,10 +1121,10 @@ def test_a_failing_command_prints_one_line(workspace, tmp_path, case):
                 "--error-map", str(tmp_path / "missing" / "err.svol")]
         rc, first = 2, "error: "
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **threads, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "cyclesynth.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == rc, proc.stderr
     assert proc.stderr.startswith(first) and proc.stderr.count("\n") == 1, proc.stderr
 
