@@ -6,7 +6,8 @@ the weighted cycle term into both generators and updates its discriminator on
 real slices versus pool-sampled synthesized ones; both generators then take
 one Adam step on the sum of the two cycles' gradients. Under a BLAS thread cap
 with CPUs to spare, the backward cycle runs in a worker process
-(cycle_processes), with byte-identical results.
+(cycle_processes) that reads the one copy of the generators from shared
+memory, with byte-identical results.
 
 Determinism contract: every random choice of an epoch (slice order,
 crop offsets, pool sampling) is drawn from streams derived from
@@ -20,7 +21,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import zlib
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
@@ -243,7 +243,8 @@ def train_step_unpaired(i_mr, i_ct, nets, opts, pool_ct, pool_mr, cfg, lr,
     backward's bits. This process runs the forward cycle MR -> CT -> MR and updates
     d_ct. The backward cycle CT -> MR -> CT and d_mr's update run after it here, or,
     with a worker (a _CycleWorker), at the same time in the worker, which then holds
-    d_mr, pool_mr and its stream; pool_mr and pool_rng_mr go unused.
+    d_mr, pool_mr and its stream; pool_mr and pool_rng_mr go unused. Either way this
+    process takes the one Adam step of each generator, after the backward cycle is done.
     """
     if worker is not None:
         worker.start(i_mr, i_ct, lr)
@@ -305,31 +306,26 @@ def cycle_processes(cfg):
     return 2 if len(os.sched_getaffinity(0)) >= 2 * int(cap) else 1
 
 
-def _generators_crc(nets, opts):
-    """Checksum of both generators' parameters, Adam moments and step counts."""
-    crc = 0
-    for name in _GENERATORS:
-        state = opts[name]
-        crc = zlib.crc32(str(state.t).encode(), crc)
-        for pname, t in nets[name].items():
-            for a in (t.data, state.m[pname], state.v[pname]):
-                crc = zlib.crc32(np.ascontiguousarray(a).data, crc)
-    return crc
-
-
 class _CycleWorker:
     """The backward cycle of every unpaired step, run in a forked child process.
 
-    Fork gives the child a copy of this process's networks, Adam state and pools as they
-    are at the first step, so the copies start equal with nothing sent or imported, in
-    milliseconds; it also copies any wrapper patched onto module functions. The program
-    runs no threads of its own, and OpenBLAS stops its thread pool around a fork.
+    Fork gives the child this process's networks, Adam state and pools as they are at
+    the first step, with nothing sent or imported, in milliseconds, and any wrapper
+    patched onto module functions. The program runs no threads of its own, and OpenBLAS
+    stops its thread pool around a fork.
 
-    From then on the child owns d_mr, pool_mr and pool_mr's stream. Both generators'
-    gradients pass through one shared-memory slot: the child puts its cycle's there,
-    this process adds them to its own and puts back the sums, and both take the same
-    Adam steps on those bits, which keeps the two copies of the generators equal.
-    Everything else goes through a pipe.
+    The generators exist once: before the fork each generator tensor's .data moves into
+    a shared-memory arena (an unlinked mapping, so never a /dev/shm entry) that also
+    holds one gradient slot per tensor, and Adam updates the views in place. Nothing may
+    rebind a generator's .data while the worker lives: checkpoints load before it
+    starts, and sync loads only d_mr. After close the views keep the arena alive as long
+    as the networks. The child owns d_mr, pool_mr and its stream; the rest goes through
+    a pipe, whose messages order every access to the arena, with no lock:
+    - the child reads the generators only between receiving "step" and sending "done",
+      and fills the slot before it sends "done";
+    - this process writes the generators only between receiving "done" and sending the
+      next "step" or "state": it adds the slot into its own gradients and takes the one
+      Adam step of each generator.
     """
 
     def __init__(self, nets, opts, pool, cfg):
@@ -338,11 +334,15 @@ class _CycleWorker:
 
         ctx = multiprocessing.get_context("fork")
         self._wait = wait
-        self._shared = ctx.RawArray("f", sum(t.data.size for t in _generator_tensors(nets)))
+        tensors = _generator_tensors(nets)
+        size = sum(t.data.size for t in tensors)
+        arena = np.frombuffer(ctx.RawArray("f", 2 * size), dtype=np.float32)
         self._slot, k = [], 0
-        flat = np.frombuffer(self._shared, dtype=np.float32)
-        for t in _generator_tensors(nets):
-            self._slot.append(flat[k:k + t.data.size].reshape(t.data.shape))
+        for t in tensors:
+            view = arena[k:k + t.data.size].reshape(t.data.shape)
+            view[...] = t.data
+            t.data = view
+            self._slot.append(arena[size + k:size + k + t.data.size].reshape(t.data.shape))
             k += t.data.size
         self._conn, child_end = ctx.Pipe()
         self._proc = ctx.Process(target=_worker_main, name="cyclesynth-backward-cycle",
@@ -382,37 +382,33 @@ class _CycleWorker:
         self._send(("step", i_mr.data, i_ct.data, lr))
 
     def exchange(self, grads):
-        """Wait for the backward cycle, add its gradients into grads and hand the sums
-        back; returns its adv, L1 and d_mr losses."""
+        """Wait for the backward cycle and add its gradients into grads; returns its
+        adv, L1 and d_mr losses. From here to the next start or sync, the worker does not
+        read the generators, so this process may step them."""
         losses = self._recv()
         for g, shared in zip(grads, self._slot):
             g += shared
-            shared[...] = g
-        self._send(("sums",))
         return losses
 
     def sync(self, nets, opts, pool):
-        """Load the worker's d_mr, its Adam state and pool_mr into nets, opts and pool;
-        its generators and their Adam state must equal this process's."""
+        """Load the worker's d_mr, its Adam state and pool_mr, which only it updates,
+        into nets, opts and pool. The generators are already this process's."""
         self._send(("state",))
-        crc = _generators_crc(nets, opts)
-        params, (t, m, v), images, worker_crc = self._recv()
-        if worker_crc != crc:
-            raise ChildProcessError(f"backward-cycle worker (pid {self._proc.pid}) holds "
-                                    "generators that differ from this process's")
+        params, (t, m, v), images = self._recv()
         nets["d_mr"].load_state_arrays(params)
         opts["d_mr"].t, opts["d_mr"].m, opts["d_mr"].v = t, m, v
         pool.load_state(images)
 
     def close(self):
-        """End the worker (closing the pipe ends its loop) and free the shared memory."""
+        """End the worker (closing the pipe ends its loop). The generators stay in the
+        arena, which is freed with the last view of it."""
         self._conn.close()
         self._proc.join(5.0)
         if self._proc.exitcode is None:
             self._proc.kill()
             self._proc.join()
         self._proc.close()
-        self._slot = self._shared = None
+        self._slot = None
 
 
 def _worker_main(conn, parent_end, nets, opts, pool, cfg, slot):
@@ -433,19 +429,15 @@ def _worker_main(conn, parent_end, nets, opts, pool, cfg, slot):
                 elif msg[0] == "state":
                     d_mr, state = nets["d_mr"], opts["d_mr"]
                     conn.send(("state", {n: t.data for n, t in d_mr.items()},
-                               (state.t, state.m, state.v), pool.state_arrays(),
-                               _generators_crc(nets, opts)))
+                               (state.t, state.m, state.v), pool.state_arrays()))
                 else:
                     _, i_mr, i_ct, lr = msg
                     *losses, grads = _cycle_half("d_mr", Tensor(i_ct), Tensor(i_mr), nets,
                                                  opts, pool, pool_rng, cfg, lr)
                     for shared, g in zip(slot, grads):
                         shared[...] = g
+                    del grads  # freed before the next step's half allocates its own
                     conn.send(("done", *losses))
-                    conn.recv()  # the sums are in the slot
-                    for shared, g in zip(slot, grads):
-                        g[...] = shared
-                    _generator_step(nets, opts, grads, lr)
     except EOFError:
         pass
     except Exception as e:  # any failure goes back as one line
@@ -572,10 +564,25 @@ def _pack_state(nets, opts, pools, epoch, cfg):
     return arrays, meta
 
 
-def _unpack_state(arrays, meta, nets, opts, pools, path):
-    """Load the state of checkpoint `path` into nets, opts and pools. A meta field of
+LOG_HEADER = ["epoch", "iter", "lr", *(f.name for f in fields(LossBreakdown))]
+
+# the only config fields a resumed run may change; any other change would break
+# the promise that a resumed run equals an unbroken one
+RESUME_OVERRIDES = ("fixed_epochs", "decay_epochs", "checkpoint_every")
+
+
+def _resume(path, cfg, nets, opts, pools):
+    """Load checkpoint `path`, which must hold a run with cfg's settings up to an epoch
+    not past cfg's last, into nets, opts and pools; returns its epoch. A meta field of
     the wrong type, a missing entry or a pool beyond its capacity raises ValueError
-    naming the file."""
+    naming the file. The parameters and moments become the checkpoint's own arrays,
+    and the rest of it is dropped on return."""
+    arrays, meta = read_checkpoint(path)
+    saved = meta_field(path, meta, "config", dict)
+    for key, value in cfg.to_dict().items():
+        if key not in RESUME_OVERRIDES and saved.get(key) != value:
+            raise ValueError(f"checkpoint {path}: resume config mismatch on {key}: "
+                             f"checkpoint has {saved.get(key)!r}, run has {value!r}")
     opt_t = meta_field(path, meta, "opt_t", dict)
     steps = {name: meta_field(path, opt_t, f"opt_t.{name}", int) for name in opts}
     pool_sizes = meta_field(path, meta, "pool_sizes", dict)
@@ -589,8 +596,8 @@ def _unpack_state(arrays, meta, nets, opts, pools, path):
             for pname in nets[net_name].names():
                 key = f"opt/{net_name}/m/{pname}"
                 if key in arrays:
-                    state.m[pname] = arrays[key].copy()
-                    state.v[pname] = arrays[f"opt/{net_name}/v/{pname}"].copy()
+                    state.m[pname] = arrays[key]
+                    state.v[pname] = arrays[f"opt/{net_name}/v/{pname}"]
         for pool_name, pool in pools.items():
             pool.load_state([arrays[f"pool/{pool_name}/{i:04d}"]
                              for i in range(counts[pool_name])])
@@ -598,13 +605,11 @@ def _unpack_state(arrays, meta, nets, opts, pools, path):
         raise ValueError(f"checkpoint {path} has no entry {e}") from e
     except ValueError as e:
         raise ValueError(f"checkpoint {path}: {e}") from e
-
-
-LOG_HEADER = ["epoch", "iter", "lr", *(f.name for f in fields(LossBreakdown))]
-
-# the only config fields a resumed run may change; any other change would break
-# the promise that a resumed run equals an unbroken one
-RESUME_OVERRIDES = ("fixed_epochs", "decay_epochs", "checkpoint_every")
+    epoch = meta_field(path, meta, "epoch", int)
+    if epoch > cfg.total_epochs:
+        raise ValueError(f"checkpoint {path}: epoch {epoch} is past the "
+                         f"run's last epoch {cfg.total_epochs}")
+    return epoch
 
 
 def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
@@ -624,20 +629,7 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
         pools = {"ct": ImagePool(cfg.image_pool_size),
                  "mr": ImagePool(cfg.image_pool_size)}
 
-    start_epoch = 0
-    if resume_from is not None:
-        arrays, meta = read_checkpoint(resume_from)
-        saved = meta_field(resume_from, meta, "config", dict)
-        for key, value in cfg.to_dict().items():
-            if key not in RESUME_OVERRIDES and saved.get(key) != value:
-                raise ValueError(
-                    f"checkpoint {resume_from}: resume config mismatch on {key}: "
-                    f"checkpoint has {saved.get(key)!r}, run has {value!r}")
-        _unpack_state(arrays, meta, nets, opts, pools, resume_from)
-        start_epoch = meta_field(resume_from, meta, "epoch", int)
-        if start_epoch > cfg.total_epochs:
-            raise ValueError(f"checkpoint {resume_from}: epoch {start_epoch} is past the "
-                             f"run's last epoch {cfg.total_epochs}")
+    start_epoch = 0 if resume_from is None else _resume(resume_from, cfg, nets, opts, pools)
 
     log_path = out_dir / "loss_log.csv"
     kept = []
@@ -652,8 +644,7 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
 
     if resume_from is None:
         final_ckpt = out_dir / "ckpt_epoch0.csyn"
-        arrays, meta = _pack_state(nets, opts, pools, 0, cfg)
-        write_checkpoint(final_ckpt, arrays, meta)
+        write_checkpoint(final_ckpt, *_pack_state(nets, opts, pools, 0, cfg))
     else:
         final_ckpt = Path(resume_from)
 
@@ -703,9 +694,8 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
 
             done = epoch + 1
             if done % cfg.checkpoint_every == 0 or done == total:
-                arrays, meta = _pack_state(nets, opts, pools, done, cfg)
                 final_ckpt = out_dir / f"ckpt_epoch{done}.csyn"
-                write_checkpoint(final_ckpt, arrays, meta)
+                write_checkpoint(final_ckpt, *_pack_state(nets, opts, pools, done, cfg))
     finally:
         log_f.close()
         if worker is not None:

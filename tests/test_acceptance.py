@@ -1,13 +1,20 @@
 """Acceptance suite: one printed verdict line per criterion.
 
 Criteria 1-5 are oracle and invariant checks and run in seconds. Criteria
-6-8 train small models on the synthetic phantom; their fixtures are
-module-scoped so the expensive runs are shared, and the whole module takes
-about ten minutes on two CPUs. Verdict lines are printed with capture
-disabled, so they appear in any pytest invocation.
+6-8 train small models on the synthetic phantom, each training a
+`cyclesynth train` process with CYCLESYNTH_THREADS=1: one BLAS thread per
+process, and on two or more CPUs an unpaired run steps in two processes.
+Their fixtures are module-scoped so the expensive runs are shared, and the
+whole module takes about five minutes on two CPUs (criteria 6, 7 and 8 took
+1.4, 2.2 and 1.5 min; in-process at numpy's default two threads they took
+about 2.8, 2.9 and 2.4). Verdict lines are printed with capture disabled, so
+they appear in any pytest invocation.
 """
 
 import csv
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -58,12 +65,36 @@ def phantoms():
     return {"aligned": aligned, "shifted": shifted}
 
 
-def _run_training(mr, ct, mode, out, epochs, seed):
-    cfg = train.TrainConfig(mode=mode, width_f=16, width_d=16,
-                            fixed_epochs=epochs[0], decay_epochs=epochs[1],
-                            seed=seed, checkpoint_every=sum(epochs))
+@pytest.fixture(scope="module")
+def training_data(phantoms, tmp_path_factory):
+    """Each phantom set's training volumes as SVOL files, which round-trip bit-exactly."""
+    dirs = {}
+    for tag, ph in phantoms.items():
+        dirs[tag] = tmp_path_factory.mktemp(f"{tag}_data")
+        for i, (mr, ct) in enumerate(zip(ph.mr[TRAIN_VOLS], ph.ct[TRAIN_VOLS])):
+            data.save_volume(mr, dirs[tag] / f"mr_{i:03d}.svol")
+            data.save_volume(ct, dirs[tag] / f"ct_{i:03d}.svol")
+    return dirs
+
+
+def _run_training(data_dir, mode, out, epochs, seed):
+    """One `cyclesynth train` process with CYCLESYNTH_THREADS=1. A fresh process caps
+    BLAS at one thread before it loads numpy, which pytest's own process has already
+    done, and an unpaired run on two or more CPUs takes the two-process step. The
+    timeout is criterion 6's budget, so that a hung worker fails rather than hangs."""
+    args = ["train", "--data", str(data_dir), "--out", str(out), "--mode", mode,
+            "--width-f", "16", "--width-d", "16", "--epochs-fixed", str(epochs[0]),
+            "--epochs-decay", str(epochs[1]), "--seed", str(seed),
+            "--checkpoint-every", str(sum(epochs))]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "CYCLESYNTH_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     t0 = time.perf_counter()
-    res = train.run_training(mr, ct, cfg, out)
+    proc = subprocess.run([sys.executable, "-m", "cyclesynth.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=1800)
+    assert proc.returncode == 0, proc.stderr
+    res = {"log": str(Path(out) / "loss_log.csv"),
+           "final_checkpoint": str(Path(out) / f"ckpt_epoch{sum(epochs)}.csyn")}
     return res, (time.perf_counter() - t0) / 60.0
 
 
@@ -88,26 +119,23 @@ def _holdout(phantoms):
 
 
 @pytest.fixture(scope="module")
-def smoke_run(phantoms, tmp_path_factory):
+def smoke_run(training_data, tmp_path_factory):
     """Criterion 6 training: unpaired on the aligned set, also reused by 8."""
-    ph = phantoms["aligned"]
-    res, minutes = _run_training(ph.mr[TRAIN_VOLS], ph.ct[TRAIN_VOLS],
-                                 "unpaired_cycle",
+    res, minutes = _run_training(training_data["aligned"], "unpaired",
                                  tmp_path_factory.mktemp("smoke"),
                                  SMOKE_EPOCHS, SMOKE_SEED)
     return {"res": res, "minutes": minutes}
 
 
 @pytest.fixture(scope="module")
-def misalign_runs(phantoms, tmp_path_factory):
+def misalign_runs(training_data, tmp_path_factory):
     """Criterion 7: paired and unpaired trained on misaligned CTs."""
-    ph = phantoms["shifted"]
     out = {}
-    for tag, mode in (("unpaired", "unpaired_cycle"), ("paired", "paired_baseline")):
-        res, minutes = _run_training(ph.mr[TRAIN_VOLS], ph.ct[TRAIN_VOLS], mode,
-                                     tmp_path_factory.mktemp(tag),
+    for mode in ("unpaired", "paired"):
+        res, minutes = _run_training(training_data["shifted"], mode,
+                                     tmp_path_factory.mktemp(mode),
                                      C7_EPOCHS, C7_SEED)
-        out[tag] = {"res": res, "minutes": minutes}
+        out[mode] = {"res": res, "minutes": minutes}
     return out
 
 
@@ -279,10 +307,8 @@ def test_criterion_7_misalignment_direction(capsys, phantoms, misalign_runs):
              f"{sum(C7_EPOCHS)} epochs each, seed {C7_SEED}; {minutes:.1f} min")
 
 
-def test_criterion_8_reproducibility(capsys, phantoms, smoke_run, tmp_path):
-    ph = phantoms["aligned"]
-    res, minutes = _run_training(ph.mr[TRAIN_VOLS], ph.ct[TRAIN_VOLS],
-                                 "unpaired_cycle", tmp_path / "rerun",
+def test_criterion_8_reproducibility(capsys, training_data, smoke_run, tmp_path):
+    res, minutes = _run_training(training_data["aligned"], "unpaired", tmp_path / "rerun",
                                  SMOKE_EPOCHS, SMOKE_SEED)
     a = Path(smoke_run["res"]["final_checkpoint"]).read_bytes()
     b = Path(res["final_checkpoint"]).read_bytes()

@@ -16,7 +16,7 @@ import pytest
 from cyclesynth import cli, engine, train
 from cyclesynth.engine import Tensor
 from cyclesynth.losses import loss_cycle, loss_gen_adv, total_generator_loss
-from cyclesynth.models import discriminator_forward, generator_forward
+from cyclesynth.models import discriminator_forward, generator_forward, param_shapes
 
 from test_train import read_log, tiny_config, volume_pair
 
@@ -114,18 +114,43 @@ def test_two_processes_write_the_bytes_of_one(tmp_path, processes, use_pool):
     assert len(read_log(tmp_path / "two" / "loss_log.csv")) == 2 * 6
 
 
-def test_a_two_process_checkpoint_resumes_in_one(tmp_path, processes):
+@pytest.mark.parametrize("first, then", [(2, 1), (1, 2)], ids=["2-1", "1-2"])
+def test_a_checkpoint_resumes_in_either_process_count(tmp_path, processes, first, then):
+    """From two processes into one, and from one into two, where the shared generators
+    are the ones the checkpoint loaded."""
     cfg = split_config()
     processes(1)
     unbroken = tree_bytes(train_run(tmp_path / "unbroken", cfg))
-    processes(2)
-    train_run(tmp_path / "split", dataclasses.replace(cfg, fixed_epochs=1))
-    processes(1)
-    resumed = tree_bytes(train_run(tmp_path / "split", cfg,
-                                   resume_from=tmp_path / "split" / "ckpt_epoch1.csyn"))
+    with deadline(60):
+        processes(first)
+        train_run(tmp_path / "split", dataclasses.replace(cfg, fixed_epochs=1))
+        processes(then)
+        resumed = tree_bytes(train_run(tmp_path / "split", cfg,
+                                       resume_from=tmp_path / "split" / "ckpt_epoch1.csyn"))
     # the first leg's checkpoints store its own epoch count
     for name in ("ckpt_epoch2.csyn", "loss_log.csv"):
         assert resumed[name] == unbroken[name], name
+
+
+def test_only_the_main_process_steps_a_generator(tmp_path, processes, monkeypatch):
+    """The worker reads the generators from shared memory; their one Adam step per
+    training step is the main process's."""
+    processes(2)
+    steps, adam = tmp_path / "adam_steps", train.adam_step
+    generator = set(param_shapes("generator", 4))
+
+    def logged_adam_step(params, state, lr):
+        with open(steps, "a") as f:
+            f.write(f"{os.getpid()} {set(params.names()) == generator}\n")
+        return adam(params, state, lr)
+
+    monkeypatch.setattr(train, "adam_step", logged_adam_step)  # before the worker forks
+    with deadline(60):
+        train_run(tmp_path / "run", split_config())
+    lines = [line.split() for line in steps.read_text().splitlines()]
+    assert [pid for pid, is_generator in lines if is_generator == "True"] == \
+        [str(os.getpid())] * (2 * 2 * 6)  # 2 generators, 2 epochs of 6 steps
+    assert len({pid for pid, _ in lines}) == 2  # the worker stepped d_mr through it
 
 
 @pytest.mark.parametrize("bad, name", [("g_mr2ct", "g_adv_ct"), ("d_mr", "g_adv_mr")])

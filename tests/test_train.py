@@ -555,6 +555,38 @@ def test_resume_log_matches_unbroken_run(tmp_path):
             == (tmp_path / "straight" / "loss_log.csv").read_bytes())
 
 
+def test_a_resumed_run_holds_its_state_once(tmp_path, monkeypatch):
+    """The arrays alive at the end of the last epoch take the same memory, within 1 MiB,
+    in a run resumed from its epoch-1 checkpoint and in an unbroken one. Width 16 has
+    1.8 M parameters, so a second copy of the Adam moments is 13.5 MiB: the resumed run
+    held 39.5 against 25.9 MiB of arrays while it kept the checkpoint's arrays alongside
+    the copies it loaded. Only numpy's memory counts: a global table of the interpreter
+    can grow by megabytes in either run."""
+    mr, ct = volume_pair(n_vols=2, n_slices=3, size=32)
+    cfg = tiny_config(fixed_epochs=2, width_f=16, width_d=16, checkpoint_every=5)
+    check, arrays_mib = train._check_state_finite, []
+    only_numpy = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+    def traced_check(nets, opts):
+        snapshot = tracemalloc.take_snapshot().filter_traces(only_numpy)
+        arrays_mib.append(sum(t.size for t in snapshot.traces) / 2**20)
+        return check(nets, opts)
+
+    monkeypatch.setattr(train, "cycle_processes", lambda cfg: 1)  # shared memory is untraced
+    train.run_training(mr, ct, dataclasses.replace(cfg, fixed_epochs=1), tmp_path / "r")
+    monkeypatch.setattr(train, "_check_state_finite", traced_check)
+    tracemalloc.start()
+    try:
+        train.run_training(mr, ct, cfg, tmp_path / "r",
+                           resume_from=tmp_path / "r" / "ckpt_epoch1.csyn")
+        resumed = arrays_mib[-1]
+        train.run_training(mr, ct, cfg, tmp_path / "unbroken")
+        unbroken = arrays_mib[-1]
+    finally:
+        tracemalloc.stop()
+    assert abs(resumed - unbroken) < 1.0, (resumed, unbroken)
+
+
 def lifecycle_config(mode):
     # 3 epochs: lr flat for epoch 0, then decaying, so a split lands on either phase
     return tiny_config(mode=mode, fixed_epochs=1, decay_epochs=2, image_pool_size=3)
