@@ -4,10 +4,11 @@ One unpaired iteration runs the forward cycle (MR -> CT -> MR) and the
 backward cycle (CT -> MR -> CT). Each backpropagates its adversarial term plus
 the weighted cycle term into both generators and updates its discriminator on
 real slices versus pool-sampled synthesized ones; both generators then take
-one Adam step on the sum of the two cycles' gradients. Under a BLAS thread cap
-with CPUs to spare, the backward cycle runs in a worker process
-(cycle_processes) that reads the one copy of the generators from shared
-memory, with byte-identical results.
+one Adam step on the sum of the two cycles' gradients. Every backward adds into
+.grad, and only _step, after the Adam step that uses it, clears it, so no
+network holds a gradient between steps. Under a BLAS thread cap with CPUs to
+spare, the backward cycle runs in a worker process (cycle_processes) that reads
+the one copy of the generators from shared memory, with byte-identical results.
 
 Determinism contract: every random choice of an epoch (slice order,
 crop offsets, pool sampling) is drawn from streams derived from
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import engine
 from .checkpoint import meta_field, read_checkpoint, write_checkpoint
-from .data import augment, pad_and_crop, pad_margin, to_model_range
+from .data import augment, pad_and_crop, pad_margin, to_model_range, write_atomic
 from .engine import Tensor
 from .losses import (  # loss_cycle, total_generator_loss: wrapped by name when traced
     LossBreakdown,
@@ -174,19 +175,19 @@ def _dis_loss(net, real, fake):
     return loss_dis(*engine.split_batch(score, len(real)))
 
 
-def _update(nets, opts, names, loss, lr):
-    """Clear every network's gradients, backpropagate loss and Adam-step the named networks."""
-    for net in nets.values():
-        net.zero_grad()
-    engine.backward(loss)
+def _step(nets, opts, names, lr):
+    """Adam-step the named networks on the gradients their backwards added up, then
+    clear those gradients, so none outlives the step that uses it."""
     for name in names:
         adam_step(nets[name], opts[name], lr)
+        nets[name].zero_grad()
 
 
 def _dis_update(nets, opts, name, real, fake, lr):
     """One update of discriminator `name` on real versus (detached) fake; returns its loss."""
     loss = _check_finite(name, _dis_loss(nets[name], real, fake))
-    _update(nets, opts, (name,), loss, lr)
+    engine.backward(loss)
+    _step(nets, opts, (name,), lr)
     return loss.item()
 
 
@@ -201,37 +202,24 @@ def _generator_tensors(nets):
 
 def _cycle_half(d_name, source, real, nets, opts, pool, pool_rng, cfg, lr):
     """One cycle's half of an unpaired step. `source` goes through both generators and
-    back; backward of adv + lam * L1(rec, source), with d_name frozen, gives each
-    generator parameter its one gradient from this cycle. Then d_name updates on
-    `real` versus the (pooled) fake; that update clears the tensors' gradients, not the
-    arrays kept here. Returns the float32 adv, L1 and d_name losses and the generators'
-    gradients, in tensor order; checking them is the caller's."""
+    back; backward of adv + lam * L1(rec, source), with d_name frozen, adds this cycle's
+    one gradient into each generator parameter's .grad. Then d_name updates on `real`
+    versus the (pooled) fake. Returns the float32 adv, L1 and d_name losses; checking
+    them is the caller's."""
     first, second = _CYCLES[d_name]
     fake = generator_forward(nets[first], source)
     rec = generator_forward(nets[second], fake)
     with nets[d_name].frozen():
         adv = loss_gen_adv(discriminator_forward(nets[d_name], fake))
         l1 = cycle_l1(source, rec)
-        for net in nets.values():
-            net.zero_grad()
         engine.backward(engine.add(adv, float(cfg.lam) * l1))
-    grads = [t.grad for t in _generator_tensors(nets)]
     fake_d = fake.data
     if cfg.use_pool:
         fake_d = pool.query(fake_d, pool_rng)
     d_loss = _dis_loss(nets[d_name], real.data, fake_d)
-    _update(nets, opts, (d_name,), d_loss, lr)
-    return adv.item(), l1.item(), d_loss.item(), grads
-
-
-def _generator_step(nets, opts, grads, lr):
-    """Adam-step both generators on grads, the two cycles' summed gradients."""
-    for net in nets.values():
-        net.zero_grad()
-    for t, g in zip(_generator_tensors(nets), grads):
-        t.grad = g
-    for name in _GENERATORS:
-        adam_step(nets[name], opts[name], lr)
+    engine.backward(d_loss)
+    _step(nets, opts, (d_name,), lr)
+    return adv.item(), l1.item(), d_loss.item()
 
 
 def train_step_unpaired(i_mr, i_ct, nets, opts, pool_ct, pool_mr, cfg, lr,
@@ -239,31 +227,29 @@ def train_step_unpaired(i_mr, i_ct, nets, opts, pool_ct, pool_mr, cfg, lr,
     """One generator update and two discriminator updates; returns the breakdown.
 
     The generator loss is a sum over the two cycles, and each generator parameter
-    takes one gradient from each, so adding the two halves' gradients gives the joint
+    takes one gradient from each, so the two halves' sum in .grad has the joint
     backward's bits. This process runs the forward cycle MR -> CT -> MR and updates
-    d_ct. The backward cycle CT -> MR -> CT and d_mr's update run after it here, or,
-    with a worker (a _CycleWorker), at the same time in the worker, which then holds
-    d_mr, pool_mr and its stream; pool_mr and pool_rng_mr go unused. Either way this
-    process takes the one Adam step of each generator, after the backward cycle is done.
+    d_ct. The backward cycle CT -> MR -> CT and d_mr's update run after it here, its
+    backward adding into the first half's .grad, or, with a worker (a _CycleWorker), at
+    the same time in the worker, which then holds d_mr, pool_mr and its stream;
+    pool_mr and pool_rng_mr go unused. Either way this process takes the one Adam step
+    of each generator, after the backward cycle is done.
     """
     if worker is not None:
         worker.start(i_mr, i_ct, lr)
-    g_ct, l1_mr, d_ct_v, grads = _cycle_half("d_ct", i_mr, i_ct, nets, opts, pool_ct,
-                                             pool_rng_ct, cfg, lr)
+    g_ct, l1_mr, d_ct_v = _cycle_half("d_ct", i_mr, i_ct, nets, opts, pool_ct,
+                                      pool_rng_ct, cfg, lr)
     if worker is None:
-        g_mr, l1_ct, d_mr_v, bwd = _cycle_half("d_mr", i_ct, i_mr, nets, opts, pool_mr,
-                                               pool_rng_mr, cfg, lr)
-        for g, other in zip(grads, bwd):
-            g += other
-        del bwd  # freed before the first Adam step allocates the moments
+        g_mr, l1_ct, d_mr_v = _cycle_half("d_mr", i_ct, i_mr, nets, opts, pool_mr,
+                                          pool_rng_mr, cfg, lr)
     else:
-        g_mr, l1_ct, d_mr_v = worker.exchange(grads)
+        g_mr, l1_ct, d_mr_v = worker.exchange(nets)
     c = engine.add(Tensor(l1_mr), Tensor(l1_ct)).item()
     for name, value in (("g_adv_ct", g_ct), ("g_adv_mr", g_mr), ("cycle", c),
                         ("d_ct", d_ct_v), ("d_mr", d_mr_v)):
         if not math.isfinite(value):
             raise NumericError(f"non-finite value in {name}")
-    _generator_step(nets, opts, grads, lr)
+    _step(nets, opts, _GENERATORS, lr)
     return LossBreakdown(d_ct=d_ct_v, d_mr=d_mr_v, g_adv_ct=g_ct, g_adv_mr=g_mr, cycle=c,
                          total_g=g_ct + g_mr + cfg.lam * c, total_d=d_ct_v + d_mr_v)
 
@@ -283,7 +269,8 @@ def train_step_paired(i_mr, i_ct_aligned, nets, opts, cfg, lr):
         adv = _check_finite("g_adv_ct", loss_gen_adv(score_fake))
         gen_loss = _check_finite("paired", loss_paired(fake_ct, i_ct_aligned, score_fake,
                                                        mu=cfg.mu))
-        _update(nets, opts, ("g_mr2ct",), gen_loss, lr)
+        engine.backward(gen_loss)
+    _step(nets, opts, ("g_mr2ct",), lr)
     d_v = _dis_update(nets, opts, "d_ct", i_ct_aligned.data, fake_ct.data, lr)
 
     gen_v = gen_loss.item()
@@ -321,11 +308,12 @@ class _CycleWorker:
     starts, and sync loads only d_mr. After close the views keep the arena alive as long
     as the networks. The child owns d_mr, pool_mr and its stream; the rest goes through
     a pipe, whose messages order every access to the arena, with no lock:
-    - the child reads the generators only between receiving "step" and sending "done",
-      and fills the slot before it sends "done";
+    - the child reads the generators only between receiving "step" and sending "done";
+      before it sends "done" it copies its generators' .grad into the slot and drops
+      them, so its next half starts from none;
     - this process writes the generators only between receiving "done" and sending the
-      next "step" or "state": it adds the slot into its own gradients and takes the one
-      Adam step of each generator.
+      next "step" or "state": it adds the slot into its generators' .grad and takes the
+      one Adam step of each generator.
     """
 
     def __init__(self, nets, opts, pool, cfg):
@@ -381,13 +369,14 @@ class _CycleWorker:
     def start(self, i_mr, i_ct, lr):
         self._send(("step", i_mr.data, i_ct.data, lr))
 
-    def exchange(self, grads):
-        """Wait for the backward cycle and add its gradients into grads; returns its
-        adv, L1 and d_mr losses. From here to the next start or sync, the worker does not
-        read the generators, so this process may step them."""
+    def exchange(self, nets):
+        """Wait for the backward cycle and add its gradients into the generators' .grad,
+        which hold the forward cycle's; returns its adv, L1 and d_mr losses. From here to
+        the next start or sync, the worker does not read the generators, so this process
+        may step them."""
         losses = self._recv()
-        for g, shared in zip(grads, self._slot):
-            g += shared
+        for t, shared in zip(_generator_tensors(nets), self._slot):
+            t.grad += shared
         return losses
 
     def sync(self, nets, opts, pool):
@@ -432,11 +421,11 @@ def _worker_main(conn, parent_end, nets, opts, pool, cfg, slot):
                                (state.t, state.m, state.v), pool.state_arrays()))
                 else:
                     _, i_mr, i_ct, lr = msg
-                    *losses, grads = _cycle_half("d_mr", Tensor(i_ct), Tensor(i_mr), nets,
-                                                 opts, pool, pool_rng, cfg, lr)
-                    for shared, g in zip(slot, grads):
-                        shared[...] = g
-                    del grads  # freed before the next step's half allocates its own
+                    losses = _cycle_half("d_mr", Tensor(i_ct), Tensor(i_mr), nets, opts,
+                                         pool, pool_rng, cfg, lr)
+                    for shared, t in zip(slot, _generator_tensors(nets)):
+                        shared[...] = t.grad
+                        t.grad = None  # handed off: the only clear outside _step
                     conn.send(("done", *losses))
     except EOFError:
         pass
@@ -565,18 +554,20 @@ def _pack_state(nets, opts, pools, epoch, cfg):
 
 
 LOG_HEADER = ["epoch", "iter", "lr", *(f.name for f in fields(LossBreakdown))]
+_LOG_EOL = csv.excel.lineterminator.encode()  # what csv.writer ends each row with
 
 # the only config fields a resumed run may change; any other change would break
 # the promise that a resumed run equals an unbroken one
 RESUME_OVERRIDES = ("fixed_epochs", "decay_epochs", "checkpoint_every")
 
 
-def _resume(path, cfg, nets, opts, pools):
+def _resume(path, cfg, crop, nets, opts, pools):
     """Load checkpoint `path`, which must hold a run with cfg's settings up to an epoch
     not past cfg's last, into nets, opts and pools; returns its epoch. A meta field of
-    the wrong type, a missing entry or a pool beyond its capacity raises ValueError
-    naming the file. The parameters and moments become the checkpoint's own arrays,
-    and the rest of it is dropped on return."""
+    the wrong type, a missing entry, a pool beyond its capacity or a pool image that is
+    not a finite (1, crop, crop) array raises ValueError naming the file. The
+    parameters and moments become the checkpoint's own arrays, and the rest of it is
+    dropped on return."""
     arrays, meta = read_checkpoint(path)
     saved = meta_field(path, meta, "config", dict)
     for key, value in cfg.to_dict().items():
@@ -599,8 +590,14 @@ def _resume(path, cfg, nets, opts, pools):
                     state.m[pname] = arrays[key]
                     state.v[pname] = arrays[f"opt/{net_name}/v/{pname}"]
         for pool_name, pool in pools.items():
-            pool.load_state([arrays[f"pool/{pool_name}/{i:04d}"]
-                             for i in range(counts[pool_name])])
+            keys = [f"pool/{pool_name}/{i:04d}" for i in range(counts[pool_name])]
+            for key in keys:
+                if arrays[key].shape != (1, crop, crop):
+                    raise ValueError(f"{key} has shape {arrays[key].shape}, "
+                                     f"not (1, {crop}, {crop})")
+                if not np.isfinite(arrays[key]).all():
+                    raise ValueError(f"{key} has a non-finite value")
+            pool.load_state([arrays[key] for key in keys])
     except KeyError as e:
         raise ValueError(f"checkpoint {path} has no entry {e}") from e
     except ValueError as e:
@@ -610,6 +607,28 @@ def _resume(path, cfg, nets, opts, pools):
         raise ValueError(f"checkpoint {path}: epoch {epoch} is past the "
                          f"run's last epoch {cfg.total_epochs}")
     return epoch
+
+
+def _kept_log_rows(log_path, epoch):
+    """The rows of log_path below its header for the epochs before `epoch`, which the
+    checkpoint holds; the rest are rerun. A row that does not end in the writer's line
+    terminator was cut by a crash and is dropped; a whole row whose epoch is not an
+    integer raises ValueError naming the log."""
+    if not log_path.exists():
+        return []
+    with open(log_path, "rb") as f:
+        rows = f.readlines()[1:]
+    kept = []
+    for line, row in enumerate(rows, 2):
+        if not row.endswith(_LOG_EOL):
+            continue
+        try:
+            row_epoch = int(row.split(b",", 1)[0])
+        except ValueError:
+            raise ValueError(f"{log_path}: line {line} has no integer epoch") from None
+        if row_epoch < epoch:
+            kept.append(row)
+    return kept
 
 
 def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
@@ -629,18 +648,15 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
         pools = {"ct": ImagePool(cfg.image_pool_size),
                  "mr": ImagePool(cfg.image_pool_size)}
 
-    start_epoch = 0 if resume_from is None else _resume(resume_from, cfg, nets, opts, pools)
-
     log_path = out_dir / "loss_log.csv"
-    kept = []
-    if resume_from is not None and log_path.exists():
-        # keep the rows of the epochs the checkpoint holds; the rest are rerun
-        with open(log_path, newline="") as f:
-            kept = [r for r in f.readlines()[1:] if int(r.split(",", 1)[0]) < start_epoch]
-    log_f = open(log_path, "w", newline="")
+    start_epoch, kept = 0, []
+    if resume_from is not None:
+        start_epoch = _resume(resume_from, cfg, crop, nets, opts, pools)
+        kept = _kept_log_rows(log_path, start_epoch)
+    # the header and kept rows reach the disk whole before any epoch runs
+    write_atomic(log_path, [",".join(LOG_HEADER).encode() + _LOG_EOL, *kept])
+    log_f = open(log_path, "a", newline="")
     log = csv.writer(log_f)
-    log.writerow(LOG_HEADER)
-    log_f.writelines(kept)
 
     if resume_from is None:
         final_ckpt = out_dir / "ckpt_epoch0.csyn"

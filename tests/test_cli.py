@@ -324,6 +324,72 @@ def test_train_resume_rejects_other_seed(workspace, tmp_path, capsys):
     assert f"checkpoint {workspace / 'run' / 'ckpt_epoch1.csyn'}:" in err
 
 
+def _resume_argv(workspace, out, ckpt):
+    """train --resume from ckpt into out, for one epoch past the workspace run's one."""
+    return ["train", "--data", str(workspace / "data"), "--out", str(out),
+            "--epochs-fixed", "2", "--epochs-decay", "0", "--width-f", "4", "--width-d", "4",
+            "--checkpoint-every", "1", "--seed", "3", "--resume", str(ckpt)]
+
+
+def _run_log(workspace, out):
+    """out, made to hold a copy of the workspace run's log; returns that log's bytes."""
+    out.mkdir()
+    shutil.copy(workspace / "run" / "loss_log.csv", out / "loss_log.csv")
+    return (out / "loss_log.csv").read_bytes()
+
+
+@pytest.mark.parametrize("damage, fragment", [
+    pytest.param(lambda img: img[:, :16, :16], "has shape (1, 16, 16), not (1, 24, 24)",
+                 id="shape"),
+    pytest.param(lambda img: np.full_like(img, np.nan), "has a non-finite value", id="nan"),
+])
+def test_train_resume_checks_the_pool_images(workspace, tmp_path, capsys, damage, fragment):
+    # neither was checked: once sampled, a (1, 16, 16) image failed in numpy's
+    # concatenate, naming no file, and a NaN one exited 3 as a non-finite d_ct
+    arrays, meta = read_checkpoint(workspace / "run" / "ckpt_epoch1.csyn")
+    arrays["pool/ct/0001"] = damage(arrays["pool/ct/0001"])
+    bad = tmp_path / "bad.csyn"
+    write_checkpoint(bad, arrays, meta)
+    log = _run_log(workspace, tmp_path / "resumed")
+    assert cli.main(_resume_argv(workspace, tmp_path / "resumed", bad)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: checkpoint {bad}: pool/ct/0001 {fragment}\n"
+    assert (tmp_path / "resumed" / "loss_log.csv").read_bytes() == log
+
+
+@pytest.mark.parametrize("epoch", [b"O", b"\xff"], ids=["letter", "not-utf-8"])
+def test_train_resume_names_a_log_row_without_an_integer_epoch(workspace, tmp_path, capsys,
+                                                               epoch):
+    # these printed "invalid literal for int() ..." and "'utf-8' codec can't decode ...",
+    # naming no file
+    out = tmp_path / "resumed"
+    log = _run_log(workspace, out).replace(b"\r\n0,1,", b"\r\n" + epoch + b",1,")
+    (out / "loss_log.csv").write_bytes(log)
+    ckpt = workspace / "run" / "ckpt_epoch1.csyn"
+    assert cli.main(_resume_argv(workspace, out, ckpt)) == 2
+    assert capsys.readouterr().err == \
+        f"error: {out / 'loss_log.csv'}: line 3 has no integer epoch\n"
+    assert (out / "loss_log.csv").read_bytes() == log
+
+
+def test_a_resume_killed_at_its_first_step_keeps_the_log(workspace, tmp_path):
+    # the log was opened with "w" and its rows buffered, so it was left at 0 bytes
+    out = tmp_path / "resumed"
+    log = _run_log(workspace, out)
+    code = ("import os, signal, sys\n"
+            "from cyclesynth import cli, train\n"
+            "train.train_step_unpaired = lambda *a: os.kill(os.getpid(), signal.SIGKILL)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = _resume_argv(workspace, out, workspace / "run" / "ckpt_epoch1.csyn")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == -9, proc.stderr
+    assert (out / "loss_log.csv").read_bytes() == log
+
+
 def test_train_resume_past_the_last_epoch_exits_2_and_keeps_the_log(workspace, tmp_path,
                                                                      capsys):
     # the checkpoint holds epoch 1; a run of 0 epochs has nothing to resume into

@@ -82,13 +82,36 @@ def test_the_two_halves_sum_to_the_joint_gradient():
 
     halves = []
     for d_name, source, real in (("d_ct", i_mr, i_ct), ("d_mr", i_ct, i_mr)):
-        *_, grads = train._cycle_half(d_name, source, real, nets, opts,
-                                      train.ImagePool(cfg.image_pool_size),
-                                      np.random.default_rng(1), cfg, 1e-3)
-        halves.append(grads)
+        for name in train._GENERATORS:  # each half's .grad on its own
+            nets[name].zero_grad()
+        train._cycle_half(d_name, source, real, nets, opts,
+                          train.ImagePool(cfg.image_pool_size), np.random.default_rng(1),
+                          cfg, 1e-3)
+        halves.append([t.grad for t in train._generator_tensors(nets)])
     assert len(joint) == len(halves[0]) == len(halves[1]) > 0
     for j, a, b in zip(joint, *halves):
         assert (a + b).tobytes() == j.tobytes()
+
+
+def test_a_two_process_step_leaves_no_gradient_in_the_main_process(processes):
+    cfg = split_config()
+    nets = train.make_networks(cfg)
+    opts = train.make_optimizers(nets)
+    rng = np.random.default_rng(0)
+    i_mr, i_ct = (Tensor(rng.uniform(-1, 1, (1, 1, 32, 32)).astype(np.float32))
+                  for _ in range(2))
+    pools = train.ImagePool(3), train.ImagePool(3)
+    worker = train._CycleWorker(nets, opts, pools[1], cfg)
+    try:
+        worker.begin_epoch(np.random.default_rng(2))
+        with deadline(60):
+            for _ in range(2):
+                train.train_step_unpaired(i_mr, i_ct, nets, opts, *pools, cfg, 1e-3,
+                                          np.random.default_rng(1), None, worker)
+                assert all(t.grad is None for net in nets.values() for t in net.tensors())
+    finally:
+        worker.close()
+    assert opts["g_mr2ct"].t == 2
 
 
 def train_run(out, cfg, resume_from=None):

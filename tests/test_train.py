@@ -332,6 +332,20 @@ def test_generator_backward_leaves_discriminators_without_grad(mode, monkeypatch
     assert all(opts[n].t == 1 for n in nets)
 
 
+@pytest.mark.parametrize("mode", ["unpaired_cycle", "paired_baseline"])
+def test_no_network_holds_a_gradient_between_steps(mode):
+    """Every backward adds into .grad and the Adam step that uses it clears it."""
+    cfg = tiny_config(mode=mode)
+    nets, opts, i_mr, i_ct = step_fixture(cfg)
+    for _ in range(2):
+        if mode == "paired_baseline":
+            train.train_step_paired(i_mr, i_ct, nets, opts, cfg, 1e-3)
+        else:
+            run_one_step(cfg, 1e-3, nets, opts, i_mr, i_ct)
+        assert all(t.grad is None for g in nets.values() for t in g.tensors())
+    assert all(opts[n].t == 2 for n in nets)
+
+
 def test_paired_step_mu_zero_is_pure_adversarial():
     cfg = tiny_config(mode="paired_baseline", mu=0.0)
     nets = train.make_networks(cfg)
@@ -531,6 +545,21 @@ def test_resume_appends_log(tmp_path):
     rows = read_log(tmp_path / "loss_log.csv")
     assert len(rows) == 4
     assert [int(r[0]) for r in rows] == [0, 0, 1, 1]
+
+
+def test_resume_drops_a_log_row_cut_by_a_crash(tmp_path):
+    """A crash cut the log after the "1" of epoch 11's first row; the resumed run kept
+    that "1" and wrote its first row onto it as "110,0,..."."""
+    mr, ct = volume_pair(n_vols=2, n_slices=1, size=32)
+    cfg = tiny_config(fixed_epochs=12, checkpoint_every=10)
+    train.run_training(mr, ct, cfg, tmp_path / "straight")
+    whole = (tmp_path / "straight" / "loss_log.csv").read_bytes()
+    cut = tmp_path / "cut"
+    cut.mkdir()
+    (cut / "loss_log.csv").write_bytes(whole[:whole.index(b"\r\n11,") + 3])
+    train.run_training(mr, ct, cfg, cut,
+                       resume_from=tmp_path / "straight" / "ckpt_epoch10.csyn")
+    assert (cut / "loss_log.csv").read_bytes() == whole
 
 
 def test_resume_rejects_config_mismatch(tmp_path):
