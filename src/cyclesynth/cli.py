@@ -81,8 +81,8 @@ def cmd_phantom(args):
     meta = {"seed": args.seed, "spec": asdict(spec),
             "shifts": phantoms.shifts.tolist(), "files": files,
             "tool": f"cyclesynth {__version__}"}
-    (out / "alignment.json").write_text(json.dumps(meta, indent=2,
-                                                   sort_keys=True))
+    data.write_atomic(out / "alignment.json",
+                      [json.dumps(meta, indent=2, sort_keys=True).encode()])
     print(f"wrote {len(files)} volumes + alignment.json to {out}")
     return 0
 
@@ -108,16 +108,13 @@ def cmd_train(args):
         use_pool=not args.no_pool, seed=args.seed,
         width_f=args.width_f, width_d=args.width_d,
         crop_size=args.crop, checkpoint_every=args.checkpoint_every,
-    ).validate()
+    )
     if args.limit_volumes is not None and args.limit_volumes < 1:
         raise ValueError(f"--limit-volumes must be >= 1, got {args.limit_volumes}")
 
     mr_paths, mr_vols = _load_modality(args.data, "mr", args.limit_volumes)
     ct_paths, ct_vols = _load_modality(args.data, "ct", args.limit_volumes)
-    train.check_inputs(mr_vols, ct_vols, cfg)  # volumes that cannot train fail before any write
-
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "tool": f"cyclesynth {__version__}",
         "created": _utc_now(),
@@ -130,11 +127,8 @@ def cmd_train(args):
         "outputs": {"dir": str(out), "log": str(out / "loss_log.csv"),
                     "checkpoints": str(out / "ckpt_epoch{N}.csyn")},
     }
-    data.write_atomic(out / "manifest.json",
-                      [json.dumps(manifest, indent=2, sort_keys=True).encode()])
-
     summary = train.run_training(mr_vols, ct_vols, cfg, out,
-                                 resume_from=args.resume)
+                                 resume_from=args.resume, manifest=manifest)
     print(f"trained {summary['epochs_run']} epochs; "
           f"final checkpoint {summary['final_checkpoint']}")
     return 0
@@ -344,7 +338,7 @@ def cmd_eval(args):
         else:
             payload = json.dumps({"a": report_a.to_dict(), "b": report_b.to_dict(),
                                   "ttest": ttest}, indent=2, sort_keys=True)
-        Path(args.report).write_text(payload)
+        data.write_atomic(args.report, [payload.encode()])
 
     if args.error_map:
         data.save_volume(evalx.error_map(*first), args.error_map)

@@ -272,14 +272,23 @@ def check_param_counts():
             raise CheckFailure(f"{kind} width-8 container count {got} != formula")
 
 
-def check_head_mask():
-    """The whole-stack head mask against a per-slice reference on seeded
-    random blobs: 2-D labels, the first largest component, and every
-    background piece that reaches no border filled. Dense stacks fill the
-    whole slice; sparse ones keep their blobs inside a sub-rectangle, so
-    head_mask labels only part of each slice."""
+def head_mask_reference(plane):
+    """The oracle for data.head_mask on one 2-D foreground plane: its first largest
+    4-connected component, with every background piece that reaches no border filled."""
     from scipy import ndimage
 
+    labels, _ = ndimage.label(plane)
+    head = labels == 1 + np.argmax(np.bincount(labels.ravel())[1:])
+    background, _ = ndimage.label(~head)
+    border = np.concatenate([background[0], background[-1],
+                             background[:, 0], background[:, -1]])
+    return ~np.isin(background, border[border > 0])
+
+
+def check_head_mask():
+    """The whole-stack head mask against head_mask_reference, slice by slice, on
+    seeded random blobs. Dense stacks fill the whole slice; sparse ones keep their
+    blobs inside a sub-rectangle, so head_mask labels only part of each slice."""
     rng = np.random.default_rng(2)
     dense, sparse = 12, 8
     for k in range(dense + sparse):
@@ -295,12 +304,7 @@ def check_head_mask():
             fg[:, y0 + bh // 2, x0 + bw // 2] = True
         got = data.head_mask(data.SliceVolume("CT", np.where(fg, 255, 0).astype(np.uint8)))
         for si, plane in enumerate(fg):
-            labels, _ = ndimage.label(plane)
-            head = labels == 1 + np.argmax(np.bincount(labels.ravel())[1:])
-            background, _ = ndimage.label(~head)
-            border = np.concatenate([background[0], background[-1],
-                                     background[:, 0], background[:, -1]])
-            if not np.array_equal(got[si], ~np.isin(background, border[border > 0])):
+            if not np.array_equal(got[si], head_mask_reference(plane)):
                 raise CheckFailure(f"stack {k} ({s}x{h}x{w}) slice {si} differs "
                                    "from the per-slice reference")
     return f"{dense} dense and {sparse} sparse stacks"

@@ -20,6 +20,7 @@ checkpoint therefore continues exactly the run that produced it.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 from dataclasses import asdict, astuple, dataclass, fields
@@ -631,15 +632,15 @@ def _kept_log_rows(log_path, epoch):
     return kept
 
 
-def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
-    """Train per config over SliceVolume lists; writes checkpoints and the CSV log.
-
-    Returns a summary dict with the final checkpoint and log paths.
-    """
+def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None, manifest=None):
+    """Train per config over SliceVolume lists. Every check (config, volumes and crop,
+    the resume checkpoint and its log rows) runs before out_dir is created; then
+    manifest.json (if manifest is given), the log header and a fresh run's
+    ckpt_epoch0 are written, in that order. Returns a summary dict with the final
+    checkpoint and log paths."""
     cfg.validate()
     crop = check_inputs(mr_vols, ct_vols, cfg)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     nets = make_networks(cfg)
     opts = make_optimizers(nets)
@@ -653,6 +654,10 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None):
     if resume_from is not None:
         start_epoch = _resume(resume_from, cfg, crop, nets, opts, pools)
         kept = _kept_log_rows(log_path, start_epoch)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if manifest is not None:
+        write_atomic(out_dir / "manifest.json",
+                     [json.dumps(manifest, indent=2, sort_keys=True).encode()])
     # the header and kept rows reach the disk whole before any epoch runs
     write_atomic(log_path, [",".join(LOG_HEADER).encode() + _LOG_EOL, *kept])
     log_f = open(log_path, "a", newline="")

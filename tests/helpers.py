@@ -1,4 +1,4 @@
-"""Shared test oracles.
+"""Shared test helpers: a file size limit, a traced peak and the gradient oracle.
 
 The gradient oracle uses selfcheck's finite differences, which only ever
 call forward code, so they can vouch for the engine's analytic gradients.
@@ -7,8 +7,6 @@ call forward code, so they can vouch for the engine's analytic gradients.
 import contextlib
 import resource
 import tracemalloc
-
-import numpy as np
 
 from cyclesynth import engine, selfcheck
 
@@ -34,54 +32,6 @@ def traced_peak(fn):
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def bfs_largest_component_filled(fg):
-    """Reference head-mask construction: breadth-first search, no scipy.
-
-    Largest 4-connected True component of fg with its enclosed holes
-    filled (a hole is background not 4-connected to the border).
-    """
-    fg = np.asarray(fg, dtype=bool)
-    h, w = fg.shape
-    seen = np.zeros_like(fg)
-    best = None
-    best_size = -1
-    for sy in range(h):
-        for sx in range(w):
-            if not fg[sy, sx] or seen[sy, sx]:
-                continue
-            comp = []
-            queue = [(sy, sx)]
-            seen[sy, sx] = True
-            while queue:
-                y, x = queue.pop()
-                comp.append((y, x))
-                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-                    if 0 <= ny < h and 0 <= nx < w and fg[ny, nx] and not seen[ny, nx]:
-                        seen[ny, nx] = True
-                        queue.append((ny, nx))
-            if len(comp) > best_size:
-                best_size = len(comp)
-                best = comp
-    mask = np.zeros_like(fg)
-    for y, x in best:
-        mask[y, x] = True
-
-    # flood the background from the border; anything unreached is a hole
-    bg = ~mask
-    reached = np.zeros_like(bg)
-    queue = [(y, x) for y in range(h) for x in (0, w - 1) if bg[y, x]]
-    queue += [(y, x) for x in range(w) for y in (0, h - 1) if bg[y, x]]
-    for y, x in queue:
-        reached[y, x] = True
-    while queue:
-        y, x = queue.pop()
-        for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-            if 0 <= ny < h and 0 <= nx < w and bg[ny, nx] and not reached[ny, nx]:
-                reached[ny, nx] = True
-                queue.append((ny, nx))
-    return mask | (bg & ~reached)
 
 
 def gradcheck(build_loss, arrays, rng, probes=20, h=1e-3, tol=1e-2, wrt=None,

@@ -21,7 +21,7 @@ from cyclesynth import cli, data, engine, evalx, selfcheck
 from cyclesynth.checkpoint import read_checkpoint, write_checkpoint
 from cyclesynth.models import init_params, param_shapes
 
-from helpers import gradcheck, traced_peak
+from helpers import file_size_limit, gradcheck, traced_peak
 
 MAE_A = [70.3, 76.2, 75.5, 75.2, 72.0, 73.0]
 PSNR_A = [31.1, 32.1, 32.9, 32.9, 32.3, 32.5]
@@ -409,6 +409,39 @@ def test_train_resume_past_the_last_epoch_exits_2_and_keeps_the_log(workspace, t
     assert cli.main(argv + ["--epochs-fixed", "1"]) == 0
     assert capsys.readouterr().out.startswith("trained 0 epochs")
     assert (out / "loss_log.csv").read_bytes() == log
+
+
+def _bad_log_row(run):
+    log = run / "loss_log.csv"
+    log.write_bytes(log.read_bytes().replace(b"\r\n0,1,", b"\r\nO,1,"))
+
+
+@pytest.mark.parametrize("flags, damage, message", [
+    pytest.param(["--seed", "4"], None, "error: checkpoint {ckpt}: resume config mismatch "
+                 "on seed: checkpoint has 3, run has 4", id="config-mismatch"),
+    pytest.param(["--epochs-fixed", "0"], None, "error: checkpoint {ckpt}: epoch 1 is past "
+                 "the run's last epoch 0", id="past-the-last-epoch"),
+    pytest.param([], lambda run: (run / "ckpt_epoch1.csyn").unlink(),
+                 "error: [Errno 2] No such file or directory: '{ckpt}'", id="no-checkpoint"),
+    pytest.param([], _bad_log_row, "error: {out}/loss_log.csv: line 3 has no integer epoch",
+                 id="log-row"),
+])
+def test_a_refused_resume_touches_no_file_in_out(workspace, tmp_path, capsys, flags, damage,
+                                                 message):
+    # the manifest used to be written first, so it described a run that never trained
+    run = tmp_path / "run"
+    shutil.copytree(workspace / "run", run)
+    if damage:
+        damage(run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    ckpt = run / "ckpt_epoch1.csyn"
+    # a refused log row needs the run's log; the other refusals also try a fresh --out
+    outs = [run] + ([tmp_path / "fresh"] if damage is not _bad_log_row else [])
+    for out in outs:
+        assert cli.main(_resume_argv(workspace, out, ckpt) + flags) == 2
+        assert capsys.readouterr().err == message.format(ckpt=ckpt, out=out) + "\n"
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+    assert not (tmp_path / "fresh").exists()
 
 
 # -- damaged containers ---------------------------------------------------
@@ -873,6 +906,23 @@ def test_eval_table1_fixture(tmp_path, capsys):
     payload = json.loads(report.read_text())
     assert payload["ttest"]["p"] == pytest.approx(8.0e-4, rel=0.1)
     assert payload["a"]["aggregate"]["mean_mae"] == pytest.approx(73.7, abs=0.05)
+
+
+def test_a_failed_report_write_keeps_the_previous_report(tmp_path, capsys):
+    # the report was written in place, so a full disk left a truncated one
+    csv_path = tmp_path / "fixture.csv"
+    csv_path.write_text("id,mae,psnr\np0,70.3,31.1\np1,76.2,32.1\n")
+    report = tmp_path / "out" / "report.json"
+    report.parent.mkdir()
+    report.write_bytes(b"{}")
+    with file_size_limit(64):
+        rc = cli.main(["eval", "--from-csv", str(csv_path), "--report", str(report)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: [Errno "), err
+    assert err.endswith(f"'{report}'\n"), err
+    assert report.read_bytes() == b"{}"
+    assert os.listdir(report.parent) == [report.name]
 
 
 @pytest.mark.parametrize("text,fragment", [

@@ -23,8 +23,9 @@ from cyclesynth.data import (
     save_volume,
     to_model_range,
 )
+from cyclesynth.selfcheck import head_mask_reference
 
-from helpers import bfs_largest_component_filled, file_size_limit, traced_peak
+from helpers import file_size_limit, traced_peak
 
 
 class TestQuantize:
@@ -120,7 +121,7 @@ class TestHeadMask:
             fg[0, 0] = True  # never empty
             native = np.where(fg, 100.0, -600.0)
             m = head_mask(toy_ct(native[None]))[0]
-            assert np.array_equal(m, bfs_largest_component_filled(fg))
+            assert np.array_equal(m, head_mask_reference(fg))
 
     def test_masking_twice_equals_once(self):
         rng = np.random.default_rng(10)
@@ -150,7 +151,7 @@ class TestHeadMask:
             fg[:, h // 2, w // 2] = True  # never empty
             m = head_mask(toy_ct(np.where(fg, 100.0, -600.0)))
             for si in range(s):
-                assert np.array_equal(m[si], bfs_largest_component_filled(fg[si]))
+                assert np.array_equal(m[si], head_mask_reference(fg[si]))
 
     def test_equal_size_components_keep_the_first_in_raster_order(self):
         fg = np.zeros((3, 9, 9), dtype=bool)
@@ -162,7 +163,7 @@ class TestHeadMask:
         want[0, 1:3, 5:7] = want[1, 1:3, 1:3] = want[2, 0, :3] = True
         assert np.array_equal(m, want)
         for si in range(3):
-            assert np.array_equal(m[si], bfs_largest_component_filled(fg[si]))
+            assert np.array_equal(m[si], head_mask_reference(fg[si]))
 
     def test_background_touching_the_border_is_not_a_hole(self):
         ring = np.ones((9, 9), dtype=bool)
@@ -172,7 +173,7 @@ class TestHeadMask:
         m = head_mask(toy_ct(np.where(fg, 100.0, -600.0)))
         assert m[0].all()
         assert np.array_equal(m[1], fg[1])
-        assert np.array_equal(m[1], bfs_largest_component_filled(fg[1]))
+        assert np.array_equal(m[1], head_mask_reference(fg[1]))
 
     def test_matches_bfs_oracle_on_blobs_in_sub_rectangles(self):
         # blobs confined to a sub-rectangle that differs per slice, so the
@@ -197,7 +198,7 @@ class TestHeadMask:
                 plane[(y0 + y1) // 2, (x0 + x1) // 2] = True
             m = head_mask(toy_ct(np.where(fg, 100.0, -600.0)))
             for si in range(s):
-                assert np.array_equal(m[si], bfs_largest_component_filled(fg[si]))
+                assert np.array_equal(m[si], head_mask_reference(fg[si]))
 
     def test_sparse_edge_cases_match_bfs_oracle(self):
         single = np.zeros((2, 9, 9), dtype=bool)
@@ -217,7 +218,7 @@ class TestHeadMask:
         for fg in (single, flat, pockets, corner):
             m = head_mask(toy_ct(np.where(fg, 100.0, -600.0)))
             for si in range(len(fg)):
-                assert np.array_equal(m[si], bfs_largest_component_filled(fg[si]))
+                assert np.array_equal(m[si], head_mask_reference(fg[si]))
         # corner: the hole is filled, the pocket on the border is not
         assert m[1].sum() == 25 and m[0].sum() == 25 - 6
 
@@ -386,7 +387,7 @@ class TestPhantom:
         # cavities sit inside the head: mask must be hole-free per the oracle
         for si in range(2):
             native = dequantize(out.ct[0].voxels[si], CT_WINDOW)
-            assert np.array_equal(m[si], bfs_largest_component_filled(native > -300))
+            assert np.array_equal(m[si], head_mask_reference(native > -300))
 
 
 class TestSvolRoundTrip:
