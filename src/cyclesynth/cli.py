@@ -13,16 +13,16 @@ import math
 import os
 import sys
 import time
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 
+from . import thread_cap
+
 # honor the thread cap before numpy spins up its BLAS pools
-_threads = os.environ.get("CYCLESYNTH_THREADS")
-if _threads:
+if thread_cap() is not None:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
+        os.environ.setdefault(_var, str(thread_cap()))
 
 import numpy as np
 
@@ -191,6 +191,7 @@ def cmd_infer(args):
     if data.base_modality(vol.modality) != family:
         raise ValueError(f"direction {args.direction} expects a volume with "
                          f"modality in {(family, 'SYNTH_' + family)}, got {vol.modality!r}")
+    data.check_parent_dirs(args.out)
     start = time.perf_counter()
     synth = synthesize_volume(group, vol, out_modality)
     rate = synth.dims[0] / (time.perf_counter() - start)
@@ -300,11 +301,13 @@ def cmd_eval(args):
     ttest = rate_line = first = None
     if args.from_csv:
         rows_a, rows_b = _rows_from_csv(args.from_csv)
+        data.check_parent_dirs(args.report)
     else:
         if not args.real or not args.synth:
             raise ValueError("eval needs --real and --synth (or --from-csv)")
         pairs_a = _collect_pairs(args.real, args.synth)
         pairs_b = _collect_pairs(args.real, args.synth_b) if args.synth_b else []
+        data.check_parent_dirs(args.report, args.error_map)
         if args.mask_from == "compute":
             # head_mask's first call would import scipy inside the timed span
             import scipy.ndimage  # noqa: F401
@@ -314,11 +317,8 @@ def cmd_eval(args):
         scored = len(pairs_a) + len(pairs_b)
         rate = scored / (time.perf_counter() - start)
         rate_line = f"evaluated {scored} volumes ({rate:.1f} volumes/s)"
-    with warnings.catch_warnings():
-        # the table and the report already show an omitted SD as n/a and null
-        warnings.filterwarnings("ignore", "fewer than two rows")
-        report_a = evalx.build_report(rows_a, mode=args.psnr_mode)
-        report_b = evalx.build_report(rows_b, mode=args.psnr_mode) if rows_b else None
+    report_a = evalx.build_report(rows_a, mode=args.psnr_mode)
+    report_b = evalx.build_report(rows_b, mode=args.psnr_mode) if rows_b else None
 
     lines = [evalx.render_table(report_a, report_b,
                                 label_a=args.label_a, label_b=args.label_b)]

@@ -15,9 +15,11 @@ of the CT copy model registration error between the pair.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -390,11 +392,25 @@ def write_atomic(path, chunks):
                 f.write(chunk)
         os.replace(tmp, path)
     except BaseException as e:
-        with contextlib.suppress(FileNotFoundError):
+        with contextlib.suppress(OSError):  # none made, or its directory is not one
             os.unlink(tmp)
         if isinstance(e, OSError):
             raise OSError(e.errno, e.strerror, os.fspath(path)) from e
         raise
+
+
+def check_parent_dirs(*paths):
+    """Raise the OSError write_atomic would raise for the first of paths (None ones
+    skipped) whose parent is missing (ENOENT) or not a directory (ENOTDIR), naming that
+    path: a command calls it before it computes what it writes."""
+    for path in filter(None, paths):
+        try:
+            if stat.S_ISDIR(os.stat(os.path.dirname(os.fspath(path)) or ".").st_mode):
+                continue
+            code = errno.ENOTDIR
+        except OSError as e:
+            code = e.errno
+        raise OSError(code, os.strerror(code), os.fspath(path))
 
 
 def write_framed(path, magic, header, payload):

@@ -12,7 +12,6 @@ behind a flag for comparability with results computed that way.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,23 +113,17 @@ class EvalReport:
 def aggregate(rows):
     """Mean and sample SD of MAE and PSNR over per-volume rows.
 
-    With fewer than two rows the SDs are omitted (None) with a warning.
+    With fewer than two rows the SDs are omitted (None).
     """
     if not rows:
         raise ValueError("aggregate needs at least one row")
     maes = np.array([r.mae_hu for r in rows], dtype=np.float64)
     psnrs = np.array([r.psnr_db for r in rows if r.psnr_db is not None],
                      dtype=np.float64)
-    out = {"mean_mae": float(maes.mean()),
-           "mean_psnr": float(psnrs.mean()) if psnrs.size else None}
-    if len(rows) >= 2:
-        out["sd_mae"] = float(maes.std(ddof=1))
-        out["sd_psnr"] = float(psnrs.std(ddof=1)) if psnrs.size >= 2 else None
-    else:
-        warnings.warn("fewer than two rows: sample SD omitted")
-        out["sd_mae"] = None
-        out["sd_psnr"] = None
-    return out
+    return {"mean_mae": float(maes.mean()),
+            "mean_psnr": float(psnrs.mean()) if psnrs.size else None,
+            "sd_mae": float(maes.std(ddof=1)) if len(rows) >= 2 else None,
+            "sd_psnr": float(psnrs.std(ddof=1)) if psnrs.size >= 2 else None}
 
 
 def build_report(rows, mode="rmse_corrected"):

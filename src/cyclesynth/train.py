@@ -28,11 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine
+from . import engine, thread_cap
 from .checkpoint import meta_field, read_checkpoint, write_checkpoint
 from .data import augment, pad_and_crop, pad_margin, to_model_range, write_atomic
 from .engine import Tensor
-from .losses import (  # loss_cycle, total_generator_loss: wrapped by name when traced
+from .losses import (  # loss_cycle, loss_paired, total_generator_loss: traced by name
     LossBreakdown,
     cycle_l1,
     loss_cycle,
@@ -161,10 +161,12 @@ def make_optimizers(nets):
     return {name: AdamState() for name in nets}
 
 
-def _check_finite(name, t):
-    if not np.isfinite(t.data).all():
-        raise NumericError(f"non-finite value in {name}")
-    return t
+def _check_finite(named):
+    """Raise NumericError naming the first of the (name, value) pairs whose value, a
+    loss or an array, holds a non-finite number."""
+    for name, value in named:
+        if not np.isfinite(value).all():
+            raise NumericError(f"non-finite value in {name}")
 
 
 def _dis_loss(net, real, fake):
@@ -185,11 +187,23 @@ def _step(nets, opts, names, lr):
 
 
 def _dis_update(nets, opts, name, real, fake, lr):
-    """One update of discriminator `name` on real versus (detached) fake; returns its loss."""
-    loss = _check_finite(name, _dis_loss(nets[name], real, fake))
+    """One update of discriminator `name` on real versus (detached) fake arrays; returns
+    its float32 loss."""
+    loss = _dis_loss(nets[name], real, fake)
     engine.backward(loss)
     _step(nets, opts, (name,), lr)
     return loss.item()
+
+
+def _generator_backward(nets, d_name, fake, l1, weight):
+    """Backward of adv + weight * l1, where adv scores `fake` on d_name, frozen: adds one
+    gradient into the .grad of each generator parameter upstream. Returns the float32
+    adv and total."""
+    with nets[d_name].frozen():
+        adv = loss_gen_adv(discriminator_forward(nets[d_name], fake))
+        total = engine.add(adv, float(weight) * l1)
+        engine.backward(total)
+    return adv.item(), total.item()
 
 
 # the cycle each discriminator scores: the generator into its domain, then back
@@ -203,24 +217,16 @@ def _generator_tensors(nets):
 
 def _cycle_half(d_name, source, real, nets, opts, pool, pool_rng, cfg, lr):
     """One cycle's half of an unpaired step. `source` goes through both generators and
-    back; backward of adv + lam * L1(rec, source), with d_name frozen, adds this cycle's
-    one gradient into each generator parameter's .grad. Then d_name updates on `real`
+    back; the generator backward of adv + lam * L1(rec, source) adds this cycle's one
+    gradient into each generator parameter's .grad. Then d_name updates on `real`
     versus the (pooled) fake. Returns the float32 adv, L1 and d_name losses; checking
     them is the caller's."""
     first, second = _CYCLES[d_name]
     fake = generator_forward(nets[first], source)
-    rec = generator_forward(nets[second], fake)
-    with nets[d_name].frozen():
-        adv = loss_gen_adv(discriminator_forward(nets[d_name], fake))
-        l1 = cycle_l1(source, rec)
-        engine.backward(engine.add(adv, float(cfg.lam) * l1))
-    fake_d = fake.data
-    if cfg.use_pool:
-        fake_d = pool.query(fake_d, pool_rng)
-    d_loss = _dis_loss(nets[d_name], real.data, fake_d)
-    engine.backward(d_loss)
-    _step(nets, opts, (d_name,), lr)
-    return adv.item(), l1.item(), d_loss.item()
+    l1 = cycle_l1(source, generator_forward(nets[second], fake))
+    adv, _ = _generator_backward(nets, d_name, fake, l1, cfg.lam)
+    fake_d = pool.query(fake.data, pool_rng) if cfg.use_pool else fake.data
+    return adv, l1.item(), _dis_update(nets, opts, d_name, real.data, fake_d, lr)
 
 
 def train_step_unpaired(i_mr, i_ct, nets, opts, pool_ct, pool_mr, cfg, lr,
@@ -246,37 +252,26 @@ def train_step_unpaired(i_mr, i_ct, nets, opts, pool_ct, pool_mr, cfg, lr,
     else:
         g_mr, l1_ct, d_mr_v = worker.exchange(nets)
     c = engine.add(Tensor(l1_mr), Tensor(l1_ct)).item()
-    for name, value in (("g_adv_ct", g_ct), ("g_adv_mr", g_mr), ("cycle", c),
-                        ("d_ct", d_ct_v), ("d_mr", d_mr_v)):
-        if not math.isfinite(value):
-            raise NumericError(f"non-finite value in {name}")
+    _check_finite((("g_adv_ct", g_ct), ("g_adv_mr", g_mr), ("cycle", c),
+                   ("d_ct", d_ct_v), ("d_mr", d_mr_v)))
     _step(nets, opts, _GENERATORS, lr)
     return LossBreakdown(d_ct=d_ct_v, d_mr=d_mr_v, g_adv_ct=g_ct, g_adv_mr=g_mr, cycle=c,
                          total_g=g_ct + g_mr + cfg.lam * c, total_d=d_ct_v + d_mr_v)
 
 
 def train_step_paired(i_mr, i_ct_aligned, nets, opts, cfg, lr):
-    """Paired-baseline iteration: adversarial + voxel L1 generator update,
-    then one discriminator update on the fresh fake. Returns a breakdown
-    with the MR-side and cycle fields unused (zero)."""
-    g_mr2ct, d_ct = nets["g_mr2ct"], nets["d_ct"]
-
-    fake_ct = generator_forward(g_mr2ct, i_mr)
-    with engine.no_grad():
-        # the cycle column carries the unweighted voxel L1, so the log keeps one schema
-        l1 = voxel_l1(fake_ct, i_ct_aligned).item()
-    with d_ct.frozen():
-        score_fake = discriminator_forward(d_ct, fake_ct)
-        adv = _check_finite("g_adv_ct", loss_gen_adv(score_fake))
-        gen_loss = _check_finite("paired", loss_paired(fake_ct, i_ct_aligned, score_fake,
-                                                       mu=cfg.mu))
-        engine.backward(gen_loss)
+    """Paired-baseline iteration: the generator backward of adv + mu * voxel L1 and
+    g_mr2ct's Adam step, then one d_ct update on the fresh fake; then its losses are
+    checked. The cycle column carries the unweighted voxel L1, so the log keeps one
+    schema; the MR-side fields are unused (zero)."""
+    fake_ct = generator_forward(nets["g_mr2ct"], i_mr)
+    l1 = voxel_l1(fake_ct, i_ct_aligned)
+    adv, total = _generator_backward(nets, "d_ct", fake_ct, l1, cfg.mu)
     _step(nets, opts, ("g_mr2ct",), lr)
     d_v = _dis_update(nets, opts, "d_ct", i_ct_aligned.data, fake_ct.data, lr)
-
-    gen_v = gen_loss.item()
-    return LossBreakdown(d_ct=d_v, d_mr=0.0, g_adv_ct=adv.item(), g_adv_mr=0.0, cycle=l1,
-                         total_g=gen_v, total_d=d_v)
+    _check_finite((("g_adv_ct", adv), ("paired", total), ("d_ct", d_v)))
+    return LossBreakdown(d_ct=d_v, d_mr=0.0, g_adv_ct=adv, g_adv_mr=0.0, cycle=l1.item(),
+                         total_g=total, total_d=d_v)
 
 
 # -- the backward cycle in a worker process --------------------------------
@@ -287,11 +282,11 @@ def cycle_processes(cfg):
     (CYCLESYNTH_THREADS) and this process may run on at least twice that many CPUs:
     the backward cycle then runs in a worker, on CPUs that would otherwise sit idle.
     Else 1, as in paired mode, which has one cycle."""
-    cap = os.environ.get("CYCLESYNTH_THREADS", "")
-    if (cfg.mode != "unpaired_cycle" or not cap.isdigit() or int(cap) < 1
+    cap = thread_cap()
+    if (cfg.mode != "unpaired_cycle" or cap is None
             or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")):
         return 1
-    return 2 if len(os.sched_getaffinity(0)) >= 2 * int(cap) else 1
+    return 2 if len(os.sched_getaffinity(0)) >= 2 * cap else 1
 
 
 class _CycleWorker:
@@ -531,14 +526,6 @@ def _net_arrays(nets, opts):
                 yield f"opt/{net_name}/v/{pname}", state.v[pname]
 
 
-def _check_state_finite(nets, opts):
-    """A finite loss can still leave inf in an Adam moment (g * g overflows), which
-    silently freezes that parameter from then on: name the first bad array."""
-    for key, a in _net_arrays(nets, opts):
-        if not np.isfinite(a).all():
-            raise NumericError(f"non-finite value in {key}")
-
-
 def _pack_state(nets, opts, pools, epoch, cfg):
     arrays = dict(_net_arrays(nets, opts))
     pool_sizes = {}
@@ -710,7 +697,9 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None, manifest=None
                 log.writerow([epoch, it, f"{lr:.8g}", *(f"{v:.6g}" for v in astuple(b))])
             if worker is not None:
                 worker.sync(nets, opts, pools["mr"])
-            _check_state_finite(nets, opts)
+            # a finite loss can still leave inf in an Adam moment (g * g
+            # overflows), which silently freezes that parameter
+            _check_finite(_net_arrays(nets, opts))
             log_f.flush()
 
             done = epoch + 1

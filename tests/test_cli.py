@@ -2,7 +2,9 @@
 
 import contextlib
 import dataclasses
+import errno
 import gc
+import hashlib
 import io
 import json
 import os
@@ -27,6 +29,8 @@ MAE_A = [70.3, 76.2, 75.5, 75.2, 72.0, 73.0]
 PSNR_A = [31.1, 32.1, 32.9, 32.9, 32.3, 32.5]
 MAE_B = [86.2, 98.8, 96.9, 86.0, 81.7, 87.0]
 PSNR_B = [29.3, 30.1, 30.1, 31.7, 31.2, 30.9]
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 @pytest.fixture(scope="module")
@@ -728,6 +732,42 @@ def test_path_errors_name_the_path_passed(workspace, tmp_path, capsys, case):
     assert [p.name for p in tmp_path.rglob("*")] == ["d"]  # no temp file left behind
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "parent-is-a-file"])
+@pytest.mark.parametrize("command, flag", [("infer", "--out"), ("eval", "--report"),
+                                           ("eval", "--error-map")])
+def test_an_unwritable_output_is_refused_before_computing(workspace, tmp_path, capsys,
+                                                         monkeypatch, command, flag, where):
+    # eval wrote --report, then failed on --error-map; infer named its temp file when
+    # the output's parent was a file
+    (tmp_path / "afile").write_bytes(b"a file, not a directory")
+    parent, code = {"missing-directory": ("nodir", errno.ENOENT),
+                    "parent-is-a-file": ("afile", errno.ENOTDIR)}[where]
+    data_dir = workspace / "data"
+    if command == "infer":
+        bad = tmp_path / parent / "x.svol"
+        argv = ["infer", "--ckpt", str(workspace / "run" / "ckpt_epoch1.csyn"),
+                "--in", str(data_dir / "mr_000.svol"), "--direction", "mr2ct", "--out", str(bad)]
+    else:
+        outs = {"--report": tmp_path / "rep.json", "--error-map": tmp_path / "err.svol"}
+        bad = outs[flag] = tmp_path / parent / outs[flag].name
+        argv = ["eval", "--real", str(data_dir), "--synth", str(data_dir), "--mask-from",
+                "compute", *(arg for item in outs.items() for arg in map(str, item))]
+    computed = []
+    monkeypatch.setattr(cli, "generator_forward", lambda *a: computed.append(a))
+    monkeypatch.setattr(evalx, "score", lambda *a, **k: computed.append(a))
+
+    def tree():
+        return {p: hashlib.sha256(p.read_bytes()).hexdigest()
+                for root in (tmp_path, workspace) for p in root.rglob("*") if p.is_file()}
+
+    before = tree()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not computed
+    assert captured.err == (f"error: [Errno {code}] {os.strerror(code)}: '{bad}'\n")
+    assert tree() == before
+
+
 def test_infer_roundtrip_volume_is_wellformed(workspace, tmp_path):
     """mr -> ct -> mr through both generators stays a valid volume."""
     fwd = tmp_path / "fwd.svol"
@@ -1245,14 +1285,26 @@ def test_a_failing_command_prints_one_line(workspace, tmp_path, case):
     assert proc.stderr.startswith(first) and proc.stderr.count("\n") == 1, proc.stderr
 
 
-def test_thread_env_propagates():
-    code = ("import os; os.environ['CYCLESYNTH_THREADS']='2'; "
-            "import cyclesynth.cli; print(os.environ['OMP_NUM_THREADS'])")
+@pytest.mark.parametrize("value, cap", [
+    pytest.param("1", 1, id="1"), pytest.param("2", 2, id="2"),
+    pytest.param("1 ", None, id="1-space"), pytest.param("abc", None, id="abc"),
+    pytest.param("0", None, id="0"), pytest.param("-1", None, id="minus-1")])
+def test_thread_env_propagates(value, cap):
+    # cli capped BLAS at any non-empty value, while train counted only digits >= 1, so
+    # "1 " capped BLAS at one thread and still trained in one process
+    code = ("import json, os; from cyclesynth import cli, thread_cap, train; "
+            f"print(json.dumps([thread_cap(), [os.environ.get(v) for v in {BLAS_VARS}], "
+            "train.cycle_processes(train.TrainConfig())]))")
     # cli only fills in thread variables that are unset, so none may be inherited
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                        "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")}
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "2"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(CYCLESYNTH_THREADS=value, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got_cap, blas, processes = json.loads(proc.stdout)
+    assert got_cap == cap
+    assert blas == [None if cap is None else str(cap)] * len(BLAS_VARS)
+    two = cap is not None and len(os.sched_getaffinity(0)) >= 2 * cap
+    assert processes == (2 if two else 1)

@@ -1,3 +1,4 @@
+import errno
 import os
 
 import numpy as np
@@ -428,6 +429,16 @@ class TestSvolRoundTrip:
             save_volume(self.make_vol(True), path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == [path.name]
+
+    def test_write_under_a_file_names_the_target(self, tmp_path):
+        # the temp file's cleanup raised NotADirectoryError, which named the temp file
+        (tmp_path / "afile").write_bytes(b"x")
+        path = tmp_path / "afile" / "x.svol"
+        with pytest.raises(OSError) as info:
+            data.write_atomic(path, [b"payload"])
+        assert info.value.errno == errno.ENOTDIR
+        assert info.value.filename == os.fspath(path)
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_voxels_and_mask_stream_without_a_copy(self, tmp_path):
         rng = np.random.default_rng(21)

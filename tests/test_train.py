@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclesynth import data, engine, train
+from cyclesynth import data, engine, losses, train
 from cyclesynth.checkpoint import read_checkpoint, write_checkpoint
 from cyclesynth.engine import Tensor
 from cyclesynth.losses import loss_dis
@@ -383,6 +383,52 @@ def test_numeric_error_names_first_bad_loss():
         run_one_step(cfg, 1e-3, nets, opts, i_mr, i_ct)
 
 
+def test_paired_step_gradient_is_the_loss_paired_gradient(monkeypatch):
+    """The gradient g_mr2ct's Adam step takes is, bit for bit, the gradient of
+    losses.loss_paired on the same forward: the objective the benchmark checks."""
+    cfg = tiny_config(mode="paired_baseline")
+    rng = np.random.default_rng(3)
+    i_mr, i_ct = (Tensor(rng.uniform(-1, 1, (2, 1, 24, 24)).astype(np.float32))
+                  for _ in range(2))
+    ref = train.make_networks(cfg)
+    fake = generator_forward(ref["g_mr2ct"], i_mr)
+    with ref["d_ct"].frozen():
+        score = discriminator_forward(ref["d_ct"], fake)
+        engine.backward(losses.loss_paired(fake, i_ct, score, mu=cfg.mu))
+    want = {n: t.grad for n, t in ref["g_mr2ct"].items()}
+
+    nets, seen = train.make_networks(cfg), {}
+    adam = train.adam_step
+
+    def capturing_adam(group, state, lr):
+        if group is nets["g_mr2ct"]:
+            seen.update((n, t.grad.copy()) for n, t in group.items())
+        adam(group, state, lr)
+
+    monkeypatch.setattr(train, "adam_step", capturing_adam)
+    train.train_step_paired(i_mr, i_ct, nets, train.make_optimizers(nets), cfg, 1e-3)
+    assert list(seen) == list(want)
+    for n, g in want.items():
+        assert seen[n].tobytes() == g.tobytes(), n
+
+
+@pytest.mark.parametrize("case, name", [("nan-stem", "g_adv_ct"), ("mu-1e39", "paired"),
+                                        ("inf-d-loss", "d_ct")])
+def test_paired_numeric_error_names_the_first_bad_loss(monkeypatch, case, name):
+    cfg = tiny_config(mode="paired_baseline", mu=1e39 if case == "mu-1e39" else 100.0)
+    nets, opts, i_mr, i_ct = step_fixture(cfg)
+    if case == "nan-stem":
+        nets["g_mr2ct"]["stem.w"].data[:] = np.nan
+    elif case == "inf-d-loss":
+        real = train.loss_dis
+        # an op on the loss, so it keeps its graph and the update's backward runs
+        monkeypatch.setattr(train, "loss_dis", lambda *scores: engine.mul(
+            real(*scores), Tensor(np.array(np.inf, np.float32))))
+    with np.errstate(all="ignore"), pytest.raises(
+            train.NumericError, match=rf"^non-finite value in {name}$"):
+        train.train_step_paired(i_mr, i_ct, nets, opts, cfg, 1e-3)
+
+
 # -- epoch plumbing -------------------------------------------------------
 
 
@@ -593,17 +639,18 @@ def test_a_resumed_run_holds_its_state_once(tmp_path, monkeypatch):
     can grow by megabytes in either run."""
     mr, ct = volume_pair(n_vols=2, n_slices=3, size=32)
     cfg = tiny_config(fixed_epochs=2, width_f=16, width_d=16, checkpoint_every=5)
-    check, arrays_mib = train._check_state_finite, []
+    check, arrays_mib = train._check_finite, []
     only_numpy = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
 
-    def traced_check(nets, opts):
+    def traced_check(named):
+        # the last call of a run is its last epoch's check of every array
         snapshot = tracemalloc.take_snapshot().filter_traces(only_numpy)
         arrays_mib.append(sum(t.size for t in snapshot.traces) / 2**20)
-        return check(nets, opts)
+        return check(named)
 
     monkeypatch.setattr(train, "cycle_processes", lambda cfg: 1)  # shared memory is untraced
     train.run_training(mr, ct, dataclasses.replace(cfg, fixed_epochs=1), tmp_path / "r")
-    monkeypatch.setattr(train, "_check_state_finite", traced_check)
+    monkeypatch.setattr(train, "_check_finite", traced_check)
     tracemalloc.start()
     try:
         train.run_training(mr, ct, cfg, tmp_path / "r",
@@ -728,15 +775,15 @@ def test_state_check_names_the_first_non_finite_array():
     cfg = tiny_config()
     nets = train.make_networks(cfg)
     opts = train.make_optimizers(nets)
-    train._check_state_finite(nets, opts)
+    train._check_finite(train._net_arrays(nets, opts))
     opts["d_mr"].m["c1.w"] = np.zeros(1, np.float32)
     opts["d_mr"].v["c1.w"] = np.array([np.inf], np.float32)
     nets["d_ct"]["c2.b"].data[0] = np.nan
     with pytest.raises(train.NumericError, match=r"^non-finite value in d_ct/c2\.b$"):
-        train._check_state_finite(nets, opts)
+        train._check_finite(train._net_arrays(nets, opts))
     nets["d_ct"]["c2.b"].data[0] = 0.0
     with pytest.raises(train.NumericError, match=r"^non-finite value in opt/d_mr/v/c1\.w$"):
-        train._check_state_finite(nets, opts)
+        train._check_finite(train._net_arrays(nets, opts))
 
 
 def test_two_runs_same_seed_identical_logs(tmp_path):
