@@ -399,18 +399,22 @@ def write_atomic(path, chunks):
         raise
 
 
-def check_parent_dirs(*paths):
+def check_output_paths(*paths):
     """Raise the OSError write_atomic would raise for the first of paths (None ones
-    skipped) whose parent is missing (ENOENT) or not a directory (ENOTDIR), naming that
-    path: a command calls it before it computes what it writes."""
-    for path in filter(None, paths):
+    skipped) that is a directory (EISDIR) or whose parent is missing (ENOENT) or not a
+    directory (ENOTDIR), naming that path: a command calls it before it computes what
+    it writes."""
+    for path in map(os.fspath, filter(None, paths)):
         try:
-            if stat.S_ISDIR(os.stat(os.path.dirname(os.fspath(path)) or ".").st_mode):
+            if os.path.isdir(path):
+                code = errno.EISDIR
+            elif stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
                 continue
-            code = errno.ENOTDIR
+            else:
+                code = errno.ENOTDIR
         except OSError as e:
             code = e.errno
-        raise OSError(code, os.strerror(code), os.fspath(path))
+        raise OSError(code, os.strerror(code), path)
 
 
 def write_framed(path, magic, header, payload):

@@ -22,13 +22,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import engine, thread_cap
+from . import engine, forked
 from .checkpoint import meta_field, read_checkpoint, write_checkpoint
 from .data import augment, pad_and_crop, pad_margin, to_model_range, write_atomic
 from .engine import Tensor
@@ -278,32 +277,22 @@ def train_step_paired(i_mr, i_ct_aligned, nets, opts, cfg, lr):
 
 
 def cycle_processes(cfg):
-    """Processes an unpaired step runs in. 2 when a BLAS thread cap is set
-    (CYCLESYNTH_THREADS) and this process may run on at least twice that many CPUs:
-    the backward cycle then runs in a worker, on CPUs that would otherwise sit idle.
-    Else 1, as in paired mode, which has one cycle."""
-    cap = thread_cap()
-    if (cfg.mode != "unpaired_cycle" or cap is None
-            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")):
-        return 1
-    return 2 if len(os.sched_getaffinity(0)) >= 2 * cap else 1
+    """Processes an unpaired step runs in: forked.processes(), with the backward cycle
+    in a worker when that is 2. Paired mode has one cycle and runs in 1."""
+    return forked.processes() if cfg.mode == "unpaired_cycle" else 1
 
 
 class _CycleWorker:
-    """The backward cycle of every unpaired step, run in a forked child process.
+    """The backward cycle of every unpaired step, run in a forked.Worker.
 
-    Fork gives the child this process's networks, Adam state and pools as they are at
-    the first step, with nothing sent or imported, in milliseconds, and any wrapper
-    patched onto module functions. The program runs no threads of its own, and OpenBLAS
-    stops its thread pool around a fork.
-
-    The generators exist once: before the fork each generator tensor's .data moves into
-    a shared-memory arena (an unlinked mapping, so never a /dev/shm entry) that also
-    holds one gradient slot per tensor, and Adam updates the views in place. Nothing may
-    rebind a generator's .data while the worker lives: checkpoints load before it
-    starts, and sync loads only d_mr. After close the views keep the arena alive as long
-    as the networks. The child owns d_mr, pool_mr and its stream; the rest goes through
-    a pipe, whose messages order every access to the arena, with no lock:
+    The fork gives the child this process's networks, Adam state and pools as they are
+    at the first step. The generators exist once: before the fork each generator
+    tensor's .data moves into a shared arena (forked.shared_zeros) that also holds one
+    gradient slot per tensor, and Adam updates the views in place. Nothing may rebind a
+    generator's .data while the worker lives: checkpoints load before it starts, and
+    sync loads only d_mr. After close the views keep the arena alive as long as the
+    networks. The child owns d_mr, pool_mr and its stream; the rest goes through the
+    pipe, whose messages order every access to the arena, with no lock:
     - the child reads the generators only between receiving "step" and sending "done";
       before it sends "done" it copies its generators' .grad into the slot and drops
       them, so its next half starts from none;
@@ -313,14 +302,9 @@ class _CycleWorker:
     """
 
     def __init__(self, nets, opts, pool, cfg):
-        import multiprocessing
-        from multiprocessing.connection import wait
-
-        ctx = multiprocessing.get_context("fork")
-        self._wait = wait
         tensors = _generator_tensors(nets)
         size = sum(t.data.size for t in tensors)
-        arena = np.frombuffer(ctx.RawArray("f", 2 * size), dtype=np.float32)
+        arena = forked.shared_zeros((2 * size,), np.float32)
         self._slot, k = [], 0
         for t in tensors:
             view = arena[k:k + t.data.size].reshape(t.data.shape)
@@ -328,49 +312,21 @@ class _CycleWorker:
             t.data = view
             self._slot.append(arena[size + k:size + k + t.data.size].reshape(t.data.shape))
             k += t.data.size
-        self._conn, child_end = ctx.Pipe()
-        self._proc = ctx.Process(target=_worker_main, name="cyclesynth-backward-cycle",
-                                 args=(child_end, self._conn, nets, opts, pool, cfg,
-                                       self._slot), daemon=True)
-        self._proc.start()
-        child_end.close()
-
-    def _died(self):
-        self._proc.join(1.0)
-        return ChildProcessError(f"backward-cycle worker (pid {self._proc.pid}) exited "
-                                 f"with code {self._proc.exitcode}")
-
-    def _send(self, msg):
-        try:
-            self._conn.send(msg)
-        except OSError:
-            raise self._died() from None
-
-    def _recv(self):
-        ready = self._wait([self._conn, self._proc.sentinel])
-        if self._conn in ready:
-            try:
-                msg = self._conn.recv()
-            except EOFError:
-                raise self._died() from None
-            if msg[0] == "error":
-                raise ChildProcessError(f"backward-cycle worker (pid {self._proc.pid}) "
-                                        f"failed: {msg[1]}")
-            return msg[1:]
-        raise self._died()
+        self._worker = forked.Worker("backward-cycle", _worker_main, nets, opts, pool, cfg,
+                                     self._slot)
 
     def begin_epoch(self, pool_rng):
-        self._send(("epoch", pool_rng))
+        self._worker.send(("epoch", pool_rng))
 
     def start(self, i_mr, i_ct, lr):
-        self._send(("step", i_mr.data, i_ct.data, lr))
+        self._worker.send(("step", i_mr.data, i_ct.data, lr))
 
     def exchange(self, nets):
         """Wait for the backward cycle and add its gradients into the generators' .grad,
         which hold the forward cycle's; returns its adv, L1 and d_mr losses. From here to
         the next start or sync, the worker does not read the generators, so this process
         may step them."""
-        losses = self._recv()
+        losses = self._worker.recv()
         for t, shared in zip(_generator_tensors(nets), self._slot):
             t.grad += shared
         return losses
@@ -378,8 +334,8 @@ class _CycleWorker:
     def sync(self, nets, opts, pool):
         """Load the worker's d_mr, its Adam state and pool_mr, which only it updates,
         into nets, opts and pool. The generators are already this process's."""
-        self._send(("state",))
-        params, (t, m, v), images = self._recv()
+        self._worker.send(("state",))
+        params, (t, m, v), images = self._worker.recv()
         nets["d_mr"].load_state_arrays(params)
         opts["d_mr"].t, opts["d_mr"].m, opts["d_mr"].v = t, m, v
         pool.load_state(images)
@@ -387,51 +343,30 @@ class _CycleWorker:
     def close(self):
         """End the worker (closing the pipe ends its loop). The generators stay in the
         arena, which is freed with the last view of it."""
-        self._conn.close()
-        self._proc.join(5.0)
-        if self._proc.exitcode is None:
-            self._proc.kill()
-            self._proc.join()
-        self._proc.close()
+        self._worker.close()
         self._slot = None
 
 
-def _worker_main(conn, parent_end, nets, opts, pool, cfg, slot):
-    """The worker's loop: one backward cycle per step message until the pipe closes.
-    It prints nothing: an error goes back as a message, and the worker then waits for
-    the pipe to close."""
-    import signal
-
-    parent_end.close()  # so that the main process's exit closes the pipe
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the main process's to handle
+def _worker_main(conn, nets, opts, pool, cfg, slot):
+    """The worker's loop: one backward cycle per step message until the pipe closes."""
     pool_rng = None
-    try:
-        with np.errstate(all="ignore"):
-            while True:
-                msg = conn.recv()
-                if msg[0] == "epoch":
-                    pool_rng = msg[1]
-                elif msg[0] == "state":
-                    d_mr, state = nets["d_mr"], opts["d_mr"]
-                    conn.send(("state", {n: t.data for n, t in d_mr.items()},
-                               (state.t, state.m, state.v), pool.state_arrays()))
-                else:
-                    _, i_mr, i_ct, lr = msg
-                    losses = _cycle_half("d_mr", Tensor(i_ct), Tensor(i_mr), nets, opts,
-                                         pool, pool_rng, cfg, lr)
-                    for shared, t in zip(slot, _generator_tensors(nets)):
-                        shared[...] = t.grad
-                        t.grad = None  # handed off: the only clear outside _step
-                    conn.send(("done", *losses))
-    except EOFError:
-        pass
-    except Exception as e:  # any failure goes back as one line
-        try:
-            conn.send(("error", f"{type(e).__name__}: {e}"))
-            while True:  # until the main process, which reads it, closes the pipe
-                conn.recv()
-        except (OSError, EOFError):
-            pass
+    with np.errstate(all="ignore"):
+        while True:
+            msg = conn.recv()
+            if msg[0] == "epoch":
+                pool_rng = msg[1]
+            elif msg[0] == "state":
+                d_mr, state = nets["d_mr"], opts["d_mr"]
+                conn.send(("state", {n: t.data for n, t in d_mr.items()},
+                           (state.t, state.m, state.v), pool.state_arrays()))
+            else:
+                _, i_mr, i_ct, lr = msg
+                losses = _cycle_half("d_mr", Tensor(i_ct), Tensor(i_mr), nets, opts,
+                                     pool, pool_rng, cfg, lr)
+                for shared, t in zip(slot, _generator_tensors(nets)):
+                    shared[...] = t.grad
+                    t.grad = None  # handed off: the only clear outside _step
+                conn.send(("done", *losses))
 
 
 # -- dataset plumbing -----------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclesynth import cli, data, engine, evalx, selfcheck
+from cyclesynth import cli, data, engine, evalx, forked, selfcheck
 from cyclesynth.checkpoint import read_checkpoint, write_checkpoint
 from cyclesynth.models import init_params, param_shapes
 
@@ -732,24 +732,33 @@ def test_path_errors_name_the_path_passed(workspace, tmp_path, capsys, case):
     assert [p.name for p in tmp_path.rglob("*")] == ["d"]  # no temp file left behind
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "parent-is-a-file"])
+@pytest.mark.parametrize("where", ["missing-directory", "parent-is-a-file", "is-a-directory"])
 @pytest.mark.parametrize("command, flag", [("infer", "--out"), ("eval", "--report"),
                                            ("eval", "--error-map")])
 def test_an_unwritable_output_is_refused_before_computing(workspace, tmp_path, capsys,
                                                          monkeypatch, command, flag, where):
     # eval wrote --report, then failed on --error-map; infer named its temp file when
-    # the output's parent was a file
+    # the output's parent was a file; an output that was a directory was found only
+    # when it was written, after the generator calls or the scoring
     (tmp_path / "afile").write_bytes(b"a file, not a directory")
+    (tmp_path / "adir").mkdir()
     parent, code = {"missing-directory": ("nodir", errno.ENOENT),
-                    "parent-is-a-file": ("afile", errno.ENOTDIR)}[where]
+                    "parent-is-a-file": ("afile", errno.ENOTDIR),
+                    "is-a-directory": ("adir", errno.EISDIR)}[where]
+
+    def unwritable(name):
+        return tmp_path / parent if where == "is-a-directory" else tmp_path / parent / name
+
     data_dir = workspace / "data"
     if command == "infer":
-        bad = tmp_path / parent / "x.svol"
+        bad = unwritable("x.svol")
         argv = ["infer", "--ckpt", str(workspace / "run" / "ckpt_epoch1.csyn"),
                 "--in", str(data_dir / "mr_000.svol"), "--direction", "mr2ct", "--out", str(bad)]
     else:
         outs = {"--report": tmp_path / "rep.json", "--error-map": tmp_path / "err.svol"}
-        bad = outs[flag] = tmp_path / parent / outs[flag].name
+        for path in outs.values():  # the other output's previous file keeps its bytes
+            path.write_bytes(b"a previous output")
+        bad = outs[flag] = unwritable(outs[flag].name)
         argv = ["eval", "--real", str(data_dir), "--synth", str(data_dir), "--mask-from",
                 "compute", *(arg for item in outs.items() for arg in map(str, item))]
     computed = []
@@ -787,6 +796,7 @@ def test_infer_roundtrip_volume_is_wellformed(workspace, tmp_path):
 def test_synthesize_volume_split_never_changes_bits(monkeypatch, size, slices, calls):
     """Slices per generator call follow their pixels; the output equals, byte for
     byte, that of one generator call per slice."""
+    monkeypatch.setattr(forked, "processes", lambda: 1)  # every call in this process
     group = init_params("generator", width=16, rng_seed=1)
     vox = np.random.default_rng(size).integers(0, 256, (slices, size, size), dtype=np.uint8)
     forward, got = cli.generator_forward, []
@@ -801,7 +811,8 @@ def test_synthesize_volume_split_never_changes_bits(monkeypatch, size, slices, c
     assert synth.voxels.tobytes() == data.from_model_range(np.concatenate(want)[:, 0]).tobytes()
 
 
-def test_synthesize_volume_memory_does_not_grow_with_slices():
+def test_synthesize_volume_memory_does_not_grow_with_slices(monkeypatch):
+    monkeypatch.setattr(forked, "processes", lambda: 1)  # every call under tracemalloc
     group = init_params("generator", width=16, rng_seed=0)
     rng = np.random.default_rng(2)
 
