@@ -23,6 +23,8 @@ RESIDUAL_BLOCKS = 9
 LEAKY_SLOPE = 0.2
 INIT_STD = 0.02
 
+# a generator halves H and W twice and doubles them back, so both must divide by this
+GENERATOR_DIVISOR = 4
 # (kernel, stride) per discriminator conv, input to output
 DISC_LAYERS = [(4, 2), (4, 2), (4, 2), (4, 1), (4, 1)]
 
@@ -74,6 +76,8 @@ class ParamGroup:
         return sum(t.data.size for t in self._tensors.values())
 
     def load_state_arrays(self, arrays):
+        """Rebind each tensor's .data to arrays[name]; raises KeyError for a missing
+        name and ValueError for a shape other than the tensor's."""
         for name, t in self._tensors.items():
             src = arrays[name]
             if src.shape != t.data.shape:
@@ -132,16 +136,15 @@ def init_params(kind, width, rng_seed=0):
 
 
 def params_from_arrays(kind, width, arrays):
-    """A network's parameters taken from name -> array, checked against param_shapes.
+    """A network's parameters taken from name -> array, checked against param_shapes
+    by load_state_arrays.
 
     Raises KeyError for a missing parameter and ValueError for a wrong shape.
     """
     p = ParamGroup()
     for name, shape in param_shapes(kind, width).items():
-        src = arrays[name]
-        if src.shape != shape:
-            raise ValueError(f"parameter {name}: shape {src.shape} != {shape}")
-        p.add(name, src)
+        p.add(name, np.empty(shape, np.float32))
+    p.load_state_arrays(arrays)
     return p
 
 
@@ -166,8 +169,9 @@ def generator_forward(p, x):
     if x.data.ndim != 4 or x.data.shape[1] != 1:
         raise engine.ShapeError(f"generator expects [N,1,H,W], got {x.data.shape}")
     h, w = x.data.shape[2], x.data.shape[3]
-    if h % 4 != 0 or w % 4 != 0:
-        raise engine.ShapeError(f"generator needs H,W divisible by 4, got {h}x{w}")
+    if h % GENERATOR_DIVISOR or w % GENERATOR_DIVISOR:
+        raise engine.ShapeError(
+            f"generator needs H,W divisible by {GENERATOR_DIVISOR}, got {h}x{w}")
     y = _conv_norm(p, "stem", x, stride=1, pad=3, pad_mode="reflect")
     y = _conv_norm(p, "down1", y, stride=2, pad=1)
     y = _conv_norm(p, "down2", y, stride=2, pad=1)

@@ -41,7 +41,8 @@ from .losses import (  # loss_cycle, loss_paired, total_generator_loss: traced b
     total_generator_loss,
     voxel_l1,
 )
-from .models import discriminator_forward, generator_forward, init_params
+from .models import (GENERATOR_DIVISOR, disc_output_size, discriminator_forward,
+                     generator_forward, init_params)
 from .optim import AdamState, adam_step, lr_at
 
 MODES = ("unpaired_cycle", "paired_baseline")
@@ -135,9 +136,6 @@ class ImagePool:
                 out.append(self.images[idx])
                 self.images[idx] = img.copy()
         return np.stack(out)
-
-    def state_arrays(self):
-        return [img.copy() for img in self.images]
 
     def load_state(self, images):
         if len(images) > self.capacity:
@@ -290,9 +288,11 @@ class _CycleWorker:
     tensor's .data moves into a shared arena (forked.shared_zeros) that also holds one
     gradient slot per tensor, and Adam updates the views in place. Nothing may rebind a
     generator's .data while the worker lives: checkpoints load before it starts, and
-    sync loads only d_mr. After close the views keep the arena alive as long as the
-    networks. The child owns d_mr, pool_mr and its stream; the rest goes through the
-    pipe, whose messages order every access to the arena, with no lock:
+    sync loads only the worker's share. After close the views keep the arena alive as
+    long as the networks. The child owns d_mr, its Adam state, pool_mr and its stream,
+    and at each epoch's end replies to "state" with that share in the checkpoint's
+    layout (_state), which sync reads as resume does (_load_state). The rest goes
+    through the pipe, whose messages order every access to the arena, with no lock:
     - the child reads the generators only between receiving "step" and sending "done";
       before it sends "done" it copies its generators' .grad into the slot and drops
       them, so its next half starts from none;
@@ -331,20 +331,24 @@ class _CycleWorker:
             t.grad += shared
         return losses
 
-    def sync(self, nets, opts, pool):
-        """Load the worker's d_mr, its Adam state and pool_mr, which only it updates,
-        into nets, opts and pool. The generators are already this process's."""
+    def sync(self, nets, opts, pool, crop):
+        """Load the worker's share of the run's state (_worker_share), which only it
+        updates, into nets, opts and pool through _load_state. The generators are
+        already this process's."""
         self._worker.send(("state",))
-        params, (t, m, v), images = self._worker.recv()
-        nets["d_mr"].load_state_arrays(params)
-        opts["d_mr"].t, opts["d_mr"].m, opts["d_mr"].v = t, m, v
-        pool.load_state(images)
+        _load_state(*self._worker.recv(), crop, *_worker_share(nets, opts, pool))
 
     def close(self):
         """End the worker (closing the pipe ends its loop). The generators stay in the
         arena, which is freed with the last view of it."""
         self._worker.close()
         self._slot = None
+
+
+def _worker_share(nets, opts, pool):
+    """The state only the worker updates, d_mr, its Adam state and pool_mr, as the nets,
+    opts and pools of _state and _load_state."""
+    return {"d_mr": nets["d_mr"]}, {"d_mr": opts["d_mr"]}, {"mr": pool}
 
 
 def _worker_main(conn, nets, opts, pool, cfg, slot):
@@ -356,9 +360,7 @@ def _worker_main(conn, nets, opts, pool, cfg, slot):
             if msg[0] == "epoch":
                 pool_rng = msg[1]
             elif msg[0] == "state":
-                d_mr, state = nets["d_mr"], opts["d_mr"]
-                conn.send(("state", {n: t.data for n, t in d_mr.items()},
-                           (state.t, state.m, state.v), pool.state_arrays()))
+                conn.send(("state", *_state(*_worker_share(nets, opts, pool))))
             else:
                 _, i_mr, i_ct, lr = msg
                 losses = _cycle_half("d_mr", Tensor(i_ct), Tensor(i_mr), nets, opts,
@@ -402,7 +404,8 @@ def _fix_same_volume_pairs(mr_seq, ct_seq):
 def check_inputs(mr_vols, ct_vols, cfg):
     """Check the training volumes against cfg, before anything is written; returns the
     crop: crop_size, or the side of square slices. Every slice must fit in the crop
-    plus its pad margin, which random crops pad it to."""
+    plus its pad margin, which random crops pad it to, and the networks must take the
+    crop."""
     if not mr_vols or not ct_vols:
         raise ValueError("run_training needs at least one volume per modality")
     if cfg.mode == "paired_baseline":
@@ -420,6 +423,10 @@ def check_inputs(mr_vols, ct_vols, cfg):
     if side > crop + pad_margin(crop):
         raise ValueError(f"crop_size {crop} plus its pad margin {pad_margin(crop)} is "
                          f"below the largest slice side {side}")
+    if crop % GENERATOR_DIVISOR or disc_output_size(crop) < 1:
+        raise ValueError(f"crop_size {crop} does not fit the networks, which need a "
+                         f"multiple of {GENERATOR_DIVISOR} that leaves the discriminator "
+                         "a nonempty score map")
     return crop
 
 
@@ -449,31 +456,54 @@ def _paired_batch(mr_vols, ct_vols, seq, crop, rng):
 # -- checkpoint plumbing --------------------------------------------------
 
 
-def _net_arrays(nets, opts):
-    """(checkpoint key, array) of every parameter, then of every Adam moment."""
-    for net_name, group in nets.items():
-        for pname, t in group.items():
-            yield f"{net_name}/{pname}", t.data
-    for net_name, state in opts.items():
-        for pname in nets[net_name].names():
-            if pname in state.m:
-                yield f"opt/{net_name}/m/{pname}", state.m[pname]
-                yield f"opt/{net_name}/v/{pname}", state.v[pname]
+def _state(nets, opts, pools):
+    """A run's state in the checkpoint's layout, its one writer: key -> array of every
+    parameter, then of every Adam moment, then of every pool image, and the counts,
+    {"opt_t": Adam steps per network, "pool_sizes": images per pool}. The arrays are
+    the state's own."""
+    arrays = {f"{net}/{p}": t.data for net, group in nets.items() for p, t in group.items()}
+    for net, state in opts.items():
+        for p in state.m:
+            arrays[f"opt/{net}/m/{p}"] = state.m[p]
+            arrays[f"opt/{net}/v/{p}"] = state.v[p]
+    for name, pool in pools.items():
+        arrays.update((f"pool/{name}/{i:04d}", img) for i, img in enumerate(pool.images))
+    return arrays, {"opt_t": {net: state.t for net, state in opts.items()},
+                    "pool_sizes": {name: len(pool) for name, pool in pools.items()}}
+
+
+def _load_state(arrays, counts, crop, nets, opts, pools):
+    """Load arrays and counts, laid out as _state lays them out, into nets, opts and
+    pools; its one reader. A network that has taken opt_t > 0 Adam steps takes both
+    moments of every parameter, and one with opt_t == 0 must hold none. A missing entry
+    raises KeyError naming it; an entry whose shape is not that of the array it
+    replaces, a moment of a network with opt_t == 0 or a pool beyond its capacity
+    raises ValueError. No value is checked: _resume refuses a non-finite one, and in
+    training the epoch-end check names it."""
+    def entry(key, shape):
+        if arrays[key].shape != shape:
+            raise ValueError(f"{key} has shape {arrays[key].shape}, not {shape}")
+        return arrays[key]
+
+    for net, group in nets.items():
+        group.load_state_arrays({p: entry(f"{net}/{p}", t.data.shape) for p, t in group.items()})
+    for net, state in opts.items():
+        state.t = counts["opt_t"][net]
+        stray = [key for key in arrays if key.startswith(f"opt/{net}/")]
+        if stray and not state.t:
+            raise ValueError(f"{stray[0]} is a moment of {net}, whose opt_t is 0")
+        shapes = {p: t.data.shape for p, t in nets[net].items()} if state.t else {}
+        state.m = {p: entry(f"opt/{net}/m/{p}", shape) for p, shape in shapes.items()}
+        state.v = {p: entry(f"opt/{net}/v/{p}", shape) for p, shape in shapes.items()}
+    for name, pool in pools.items():
+        pool.load_state([entry(f"pool/{name}/{i:04d}", (1, crop, crop))
+                         for i in range(counts["pool_sizes"][name])])
 
 
 def _pack_state(nets, opts, pools, epoch, cfg):
-    arrays = dict(_net_arrays(nets, opts))
-    pool_sizes = {}
-    for pool_name, pool in pools.items():
-        imgs = pool.state_arrays()
-        pool_sizes[pool_name] = len(imgs)
-        for i, img in enumerate(imgs):
-            arrays[f"pool/{pool_name}/{i:04d}"] = img
-    meta = {"format": "cyclesynth-train", "epoch": int(epoch),
-            "config": cfg.to_dict(),
-            "opt_t": {name: state.t for name, state in opts.items()},
-            "pool_sizes": pool_sizes}
-    return arrays, meta
+    arrays, counts = _state(nets, opts, pools)
+    return arrays, {"format": "cyclesynth-train", "epoch": int(epoch),
+                    "config": cfg.to_dict(), **counts}
 
 
 LOG_HEADER = ["epoch", "iter", "lr", *(f.name for f in fields(LossBreakdown))]
@@ -486,41 +516,27 @@ RESUME_OVERRIDES = ("fixed_epochs", "decay_epochs", "checkpoint_every")
 
 def _resume(path, cfg, crop, nets, opts, pools):
     """Load checkpoint `path`, which must hold a run with cfg's settings up to an epoch
-    not past cfg's last, into nets, opts and pools; returns its epoch. A meta field of
-    the wrong type, a missing entry, a pool beyond its capacity or a pool image that is
-    not a finite (1, crop, crop) array raises ValueError naming the file. The
-    parameters and moments become the checkpoint's own arrays, and the rest of it is
-    dropped on return."""
+    not past cfg's last, into nets, opts and pools; returns its epoch. Checked in turn:
+    the config, the types of the meta fields, each entry _load_state reads (its
+    presence, its shape, the moment rule, the pools' capacity), the finiteness of every
+    entry loaded, and the epoch. Each refusal raises ValueError naming the file and, for
+    an entry, its key. The parameters and moments become the checkpoint's own arrays,
+    and the rest of it is dropped on return."""
     arrays, meta = read_checkpoint(path)
     saved = meta_field(path, meta, "config", dict)
     for key, value in cfg.to_dict().items():
         if key not in RESUME_OVERRIDES and saved.get(key) != value:
             raise ValueError(f"checkpoint {path}: resume config mismatch on {key}: "
                              f"checkpoint has {saved.get(key)!r}, run has {value!r}")
-    opt_t = meta_field(path, meta, "opt_t", dict)
-    steps = {name: meta_field(path, opt_t, f"opt_t.{name}", int) for name in opts}
-    pool_sizes = meta_field(path, meta, "pool_sizes", dict)
-    counts = {name: meta_field(path, pool_sizes, f"pool_sizes.{name}", int) for name in pools}
+    counts = {}
+    for field, names in (("opt_t", opts), ("pool_sizes", pools)):
+        got = meta_field(path, meta, field, dict)
+        counts[field] = {name: meta_field(path, got, f"{field}.{name}", int) for name in names}
     try:
-        for net_name, group in nets.items():
-            group.load_state_arrays(
-                {p: arrays[f"{net_name}/{p}"] for p in group.names()})
-        for net_name, state in opts.items():
-            state.t = steps[net_name]
-            for pname in nets[net_name].names():
-                key = f"opt/{net_name}/m/{pname}"
-                if key in arrays:
-                    state.m[pname] = arrays[key]
-                    state.v[pname] = arrays[f"opt/{net_name}/v/{pname}"]
-        for pool_name, pool in pools.items():
-            keys = [f"pool/{pool_name}/{i:04d}" for i in range(counts[pool_name])]
-            for key in keys:
-                if arrays[key].shape != (1, crop, crop):
-                    raise ValueError(f"{key} has shape {arrays[key].shape}, "
-                                     f"not (1, {crop}, {crop})")
-                if not np.isfinite(arrays[key]).all():
-                    raise ValueError(f"{key} has a non-finite value")
-            pool.load_state([arrays[key] for key in keys])
+        _load_state(arrays, counts, crop, nets, opts, pools)
+        for key, value in _state(nets, opts, pools)[0].items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"{key} has a non-finite value")
     except KeyError as e:
         raise ValueError(f"checkpoint {path} has no entry {e}") from e
     except ValueError as e:
@@ -631,10 +647,10 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None, manifest=None
                     b = train_step_paired(i_mr, i_ct, nets, opts, cfg, lr)
                 log.writerow([epoch, it, f"{lr:.8g}", *(f"{v:.6g}" for v in astuple(b))])
             if worker is not None:
-                worker.sync(nets, opts, pools["mr"])
+                worker.sync(nets, opts, pools["mr"], crop)
             # a finite loss can still leave inf in an Adam moment (g * g
             # overflows), which silently freezes that parameter
-            _check_finite(_net_arrays(nets, opts))
+            _check_finite(_state(nets, opts, pools)[0].items())
             log_f.flush()
 
             done = epoch + 1

@@ -316,6 +316,33 @@ def test_train_input_error_writes_nothing(workspace, tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("side, make", [
+    pytest.param(16, "phantom", id="16-empty-score-map"),
+    pytest.param(30, "svol", id="30-not-a-multiple-of-4"),
+])
+def test_train_refuses_a_crop_the_networks_cannot_take(tmp_path, capsys, side, make):
+    # both passed the input checks, wrote manifest.json, loss_log.csv and ckpt_epoch0,
+    # and then failed in the first forward pass of the discriminator or the generator
+    datadir = tmp_path / "data"
+    if make == "phantom":
+        assert cli.main(["phantom", "--out", str(datadir), "--volumes", "2", "--slices",
+                         "2", "--size", f"{side}x{side}", "--seed", "5"]) == 0
+    else:
+        datadir.mkdir()
+        for name in ("mr_000", "ct_000"):
+            data.save_volume(data.SliceVolume(name[:2].upper(),
+                                              np.zeros((2, side, side), np.uint8)),
+                             datadir / f"{name}.svol")
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data", str(datadir), "--out", str(out), "--width-f", "4",
+                     "--width-d", "4", "--epochs-fixed", "1", "--epochs-decay", "0"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: crop_size {side} does not fit the networks, which need a multiple of 4 "
+        "that leaves the discriminator a nonempty score map\n")
+    assert not out.exists()
+
+
 def test_train_resume_rejects_other_seed(workspace, tmp_path, capsys):
     assert cli.main(["train", "--data", str(workspace / "data"),
                      "--out", str(tmp_path / "resumed"),
@@ -342,23 +369,85 @@ def _run_log(workspace, out):
     return (out / "loss_log.csv").read_bytes()
 
 
-@pytest.mark.parametrize("damage, fragment", [
-    pytest.param(lambda img: img[:, :16, :16], "has shape (1, 16, 16), not (1, 24, 24)",
-                 id="shape"),
-    pytest.param(lambda img: np.full_like(img, np.nan), "has a non-finite value", id="nan"),
-])
-def test_train_resume_checks_the_pool_images(workspace, tmp_path, capsys, damage, fragment):
-    # neither was checked: once sampled, a (1, 16, 16) image failed in numpy's
-    # concatenate, naming no file, and a NaN one exited 3 as a non-finite d_ct
+def _tree(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def _damage_entry(arrays, key, damage):
+    """arrays with entry key damaged; returns what the resume must print after the
+    checkpoint's path."""
+    if damage == "removed":
+        del arrays[key]
+        return f" has no entry '{key}'"
+    if damage == "truncated":
+        shape = arrays[key].shape
+        arrays[key] = arrays[key][..., :-1]
+        return f": {key} has shape {arrays[key].shape}, not {shape}"
+    arrays[key] = arrays[key].copy()
+    arrays[key].flat[-1] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[damage]
+    return f": {key} has a non-finite value"
+
+
+@pytest.mark.parametrize("damage", ["truncated", "nan", "removed"])
+@pytest.mark.parametrize("key", ["g_mr2ct/stem.w", "opt/g_mr2ct/m/stem.w",
+                                 "opt/g_mr2ct/v/stem.w", "pool/ct/0001"])
+def test_train_resume_checks_every_kind_of_state_entry(workspace, tmp_path, capsys, key,
+                                                       damage):
+    # only pool images were checked: a moment of another shape failed in numpy with
+    # "non-broadcastable output operand", naming no file, a NaN parameter or moment
+    # exited 3 as a non-finite g_adv_ct, and a removed moment resumed without it and
+    # trained on; each wrote manifest.json and loss_log.csv before it failed
     arrays, meta = read_checkpoint(workspace / "run" / "ckpt_epoch1.csyn")
-    arrays["pool/ct/0001"] = damage(arrays["pool/ct/0001"])
+    tail = _damage_entry(arrays, key, damage)
     bad = tmp_path / "bad.csyn"
     write_checkpoint(bad, arrays, meta)
-    log = _run_log(workspace, tmp_path / "resumed")
-    assert cli.main(_resume_argv(workspace, tmp_path / "resumed", bad)) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: checkpoint {bad}: pool/ct/0001 {fragment}\n"
-    assert (tmp_path / "resumed" / "loss_log.csv").read_bytes() == log
+    out = tmp_path / "resumed"
+    _run_log(workspace, out)
+    before = _tree(out)
+    assert cli.main(_resume_argv(workspace, out, bad)) == 2
+    assert capsys.readouterr().err == f"error: checkpoint {bad}{tail}\n"
+    assert _tree(out) == before
+
+
+def test_train_resume_refuses_moments_of_a_network_with_no_adam_step(workspace, tmp_path,
+                                                                    capsys):
+    # they were loaded under a step count of 0, so Adam's bias correction restarted on
+    # moments that had already taken a step
+    arrays, meta = read_checkpoint(workspace / "run" / "ckpt_epoch1.csyn")
+    meta["opt_t"]["g_mr2ct"] = 0
+    bad = tmp_path / "bad.csyn"
+    write_checkpoint(bad, arrays, meta)
+    out = tmp_path / "resumed"
+    _run_log(workspace, out)
+    before = _tree(out)
+    assert cli.main(_resume_argv(workspace, out, bad)) == 2
+    assert capsys.readouterr().err == (f"error: checkpoint {bad}: opt/g_mr2ct/m/stem.w is "
+                                       "a moment of g_mr2ct, whose opt_t is 0\n")
+    assert _tree(out) == before
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_any_damaged_state_entry_refuses_the_resume_and_touches_no_file(workspace,
+                                                                       tmp_path_factory,
+                                                                       data):
+    """One entry of a real checkpoint, removed, cut short in its last axis or holding a
+    NaN or an infinity, makes train --resume exit 2 with one error line naming the
+    checkpoint and the key, before it writes any file."""
+    arrays, meta = read_checkpoint(workspace / "run" / "ckpt_epoch1.csyn")
+    key = data.draw(st.sampled_from(sorted(arrays)), label="key")
+    damage = data.draw(st.sampled_from(["removed", "truncated", "nan", "inf", "-inf"]),
+                       label="damage")
+    tail = _damage_entry(arrays, key, damage)
+    tmp = tmp_path_factory.mktemp("entry")
+    bad = tmp / "bad.csyn"
+    write_checkpoint(bad, arrays, meta)
+    out = tmp / "resumed"
+    _run_log(workspace, out)
+    before = _tree(out)
+    rc, err = _run_quietly(_resume_argv(workspace, out, bad))
+    assert (rc, err) == (2, f"error: checkpoint {bad}{tail}\n")
+    assert key in err and _tree(out) == before
 
 
 @pytest.mark.parametrize("epoch", [b"O", b"\xff"], ids=["letter", "not-utf-8"])

@@ -18,6 +18,7 @@ from cyclesynth.engine import Tensor
 from cyclesynth.losses import loss_cycle, loss_gen_adv, total_generator_loss
 from cyclesynth.models import (discriminator_forward, generator_forward, init_params,
                                param_shapes)
+from cyclesynth.optim import AdamState
 
 from test_train import read_log, tiny_config, volume_pair
 
@@ -197,6 +198,32 @@ def test_the_first_non_finite_loss_is_named_across_processes(processes, bad, nam
                                       np.random.default_rng(1), None, worker)
     finally:
         worker.close()
+
+
+def test_sync_leaves_a_non_finite_worker_value_to_the_epoch_end_check(processes):
+    """sync reads the worker's share as resume reads a checkpoint, but checks no value:
+    an inf in a d_mr moment comes back as it is, for the epoch-end check to name (exit
+    3), where resume would refuse it (exit 2)."""
+    cfg = split_config()
+    nets = train.make_networks(cfg)
+    opts = train.make_optimizers(nets)
+    opts["d_mr"].t = 1
+    for moments in (opts["d_mr"].m, opts["d_mr"].v):
+        moments.update((p, np.zeros_like(t.data)) for p, t in nets["d_mr"].items())
+    opts["d_mr"].v["c1.w"].flat[0] = np.inf
+    pool = train.ImagePool(3)
+    pool.load_state([np.ones((1, 32, 32), np.float32)])
+    worker = train._CycleWorker(nets, opts, pool, cfg)
+    try:
+        # this process's copies go; sync must bring back the worker's
+        opts["d_mr"], pool.images = AdamState(), []
+        with deadline(60):
+            worker.sync(nets, opts, pool, 32)
+    finally:
+        worker.close()
+    assert opts["d_mr"].t == 1 and len(pool) == 1
+    with pytest.raises(train.NumericError, match=r"^non-finite value in opt/d_mr/v/c1\.w$"):
+        train._check_finite(train._state(nets, opts, {"mr": pool})[0].items())
 
 
 def cli_train(workspace, out):

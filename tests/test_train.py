@@ -126,7 +126,7 @@ def test_pool_state_roundtrip():
     rng = np.random.default_rng(3)
     pool.query(np.random.default_rng(1).random((3, 1, 2, 2)).astype(np.float32), rng)
     clone = train.ImagePool(4)
-    clone.load_state(pool.state_arrays())
+    clone.load_state(pool.images)
     assert len(clone) == len(pool)
     for a, b in zip(pool.images, clone.images):
         assert np.array_equal(a, b)
@@ -775,15 +775,15 @@ def test_state_check_names_the_first_non_finite_array():
     cfg = tiny_config()
     nets = train.make_networks(cfg)
     opts = train.make_optimizers(nets)
-    train._check_finite(train._net_arrays(nets, opts))
+    train._check_finite(train._state(nets, opts, {})[0].items())
     opts["d_mr"].m["c1.w"] = np.zeros(1, np.float32)
     opts["d_mr"].v["c1.w"] = np.array([np.inf], np.float32)
     nets["d_ct"]["c2.b"].data[0] = np.nan
     with pytest.raises(train.NumericError, match=r"^non-finite value in d_ct/c2\.b$"):
-        train._check_finite(train._net_arrays(nets, opts))
+        train._check_finite(train._state(nets, opts, {})[0].items())
     nets["d_ct"]["c2.b"].data[0] = 0.0
     with pytest.raises(train.NumericError, match=r"^non-finite value in opt/d_mr/v/c1\.w$"):
-        train._check_finite(train._net_arrays(nets, opts))
+        train._check_finite(train._state(nets, opts, {})[0].items())
 
 
 def test_two_runs_same_seed_identical_logs(tmp_path):
