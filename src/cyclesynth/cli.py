@@ -8,7 +8,6 @@ degenerate statistics, failed gradient checks).
 import argparse
 import csv
 import hashlib
-import json
 import math
 import os
 import sys
@@ -27,8 +26,8 @@ if thread_cap() is not None:
 import numpy as np
 
 from . import __version__, data, engine, evalx, forked, selfcheck, train
-from .checkpoint import meta_field, read_checkpoint
-from .models import generator_forward, params_from_arrays
+from .checkpoint import read_checkpoint
+from .models import generator_forward
 
 
 def _parse_size(text):
@@ -81,8 +80,7 @@ def cmd_phantom(args):
     meta = {"seed": args.seed, "spec": asdict(spec),
             "shifts": phantoms.shifts.tolist(), "files": files,
             "tool": f"cyclesynth {__version__}"}
-    data.write_atomic(out / "alignment.json",
-                      [json.dumps(meta, indent=2, sort_keys=True).encode()])
+    data.write_json(out / "alignment.json", meta)
     print(f"wrote {len(files)} volumes + alignment.json to {out}")
     return 0
 
@@ -114,21 +112,15 @@ def cmd_train(args):
 
     mr_paths, mr_vols = _load_modality(args.data, "mr", args.limit_volumes)
     ct_paths, ct_vols = _load_modality(args.data, "ct", args.limit_volumes)
-    out = Path(args.out)
-    manifest = {
+    provenance = {
         "tool": f"cyclesynth {__version__}",
         "created": _utc_now(),
         "command": "train",
-        "config": cfg.to_dict(),
         "threads": os.environ.get("CYCLESYNTH_THREADS"),
-        "cycle_processes": train.cycle_processes(cfg),
-        "resume_from": str(args.resume) if args.resume else None,
         "inputs": {str(p): _sha256(p) for p in mr_paths + ct_paths},
-        "outputs": {"dir": str(out), "log": str(out / "loss_log.csv"),
-                    "checkpoints": str(out / "ckpt_epoch{N}.csyn")},
     }
-    summary = train.run_training(mr_vols, ct_vols, cfg, out,
-                                 resume_from=args.resume, manifest=manifest)
+    summary = train.run_training(mr_vols, ct_vols, cfg, args.out,
+                                 resume_from=args.resume, provenance=provenance)
     print(f"trained {summary['epochs_run']} epochs; "
           f"final checkpoint {summary['final_checkpoint']}")
     return 0
@@ -144,22 +136,11 @@ _DIRECTIONS = {
 
 
 def load_generator(ckpt_path, direction):
-    """Rebuild one generator from a training checkpoint; returns it with the modality
+    """The generator of `direction` in a training checkpoint, read by train's checked
+    reader (train.read_generator, the load --resume makes); returns it with the modality
     family it reads and the modality it writes."""
-    arrays, meta = read_checkpoint(ckpt_path)
     net_key, family, out_modality = _DIRECTIONS[direction]
-    config = meta_field(ckpt_path, meta, "config", dict)
-    width = meta_field(ckpt_path, config, "config.width_f", int)
-    prefix = f"{net_key}/"
-    net = {k[len(prefix):]: a for k, a in arrays.items() if k.startswith(prefix)}
-    try:
-        group = params_from_arrays("generator", width, net)
-    except KeyError:
-        raise ValueError(
-            f"checkpoint {ckpt_path} has no {net_key} network "
-            f"(mode {config.get('mode')!r})")
-    except ValueError as e:
-        raise ValueError(f"checkpoint {ckpt_path}: {e}") from e
+    group = train.read_generator(ckpt_path, *read_checkpoint(ckpt_path), net_key)
     return group, family, out_modality
 
 
@@ -229,10 +210,21 @@ def cmd_infer(args):
 # -- eval -----------------------------------------------------------------
 
 
-def _collect_pairs(real_path, synth_path):
+def _kind(path):
+    if path.is_dir():
+        return "is a directory"
+    return "is a file" if path.exists() else "does not exist"
+
+
+def _collect_pairs(real_path, synth_path, synth_flag):
+    """(id, real, synth) paths of every pair to score: the two paths if both are files,
+    each real *.svol and its namesake in synth if both are directories. Any other two
+    paths raise ValueError naming both, as --real and synth_flag, and what each is."""
     real_path, synth_path = Path(real_path), Path(synth_path)
-    if real_path.is_dir() != synth_path.is_dir():
-        raise ValueError("real and synth must both be files or both be directories")
+    kinds = _kind(real_path), _kind(synth_path)
+    if kinds[0] != kinds[1] or "does not exist" in kinds:
+        raise ValueError(f"--real {real_path} {kinds[0]} and {synth_flag} {synth_path} "
+                         f"{kinds[1]}; they must be two files or two directories")
     if not real_path.is_dir():
         return [(real_path.stem, real_path, synth_path)]
     pairs = []
@@ -331,8 +323,8 @@ def cmd_eval(args):
     else:
         if not args.real or not args.synth:
             raise ValueError("eval needs --real and --synth (or --from-csv)")
-        pairs_a = _collect_pairs(args.real, args.synth)
-        pairs_b = _collect_pairs(args.real, args.synth_b) if args.synth_b else []
+        pairs_a = _collect_pairs(args.real, args.synth, "--synth")
+        pairs_b = _collect_pairs(args.real, args.synth_b, "--synth-b") if args.synth_b else []
         data.check_output_paths(args.report, args.error_map)
         if args.mask_from == "compute":
             # head_mask's first call would import scipy inside the timed span
@@ -359,12 +351,8 @@ def cmd_eval(args):
     print("\n".join(lines))
 
     if args.report:
-        if report_b is None:
-            payload = report_a.to_json()
-        else:
-            payload = json.dumps({"a": report_a.to_dict(), "b": report_b.to_dict(),
-                                  "ttest": ttest}, indent=2, sort_keys=True)
-        data.write_atomic(args.report, [payload.encode()])
+        data.write_json(args.report, report_a.to_dict() if report_b is None else
+                        {"a": report_a.to_dict(), "b": report_b.to_dict(), "ttest": ttest})
 
     if args.error_map:
         data.save_volume(evalx.error_map(*first), args.error_map)

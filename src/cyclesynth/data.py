@@ -399,6 +399,12 @@ def write_atomic(path, chunks):
         raise
 
 
+def write_json(path, obj):
+    """write_atomic of obj as indented, sorted-key JSON, the form of every JSON file the
+    program writes."""
+    write_atomic(path, [json.dumps(obj, indent=2, sort_keys=True).encode()])
+
+
 def check_output_paths(*paths):
     """Raise the OSError write_atomic would raise for the first of paths (None ones
     skipped) that is a directory (EISDIR) or whose parent is missing (ENOENT) or not a

@@ -11,7 +11,6 @@ behind a flag for comparability with results computed that way.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,9 +104,6 @@ class EvalReport:
                       "n_voxels": r.n_voxels} for r in self.rows],
             "aggregate": self.aggregate,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def aggregate(rows):

@@ -77,12 +77,9 @@ class ParamGroup:
 
     def load_state_arrays(self, arrays):
         """Rebind each tensor's .data to arrays[name]; raises KeyError for a missing
-        name and ValueError for a shape other than the tensor's."""
+        name. Shapes are the caller's to check (train._load_state)."""
         for name, t in self._tensors.items():
-            src = arrays[name]
-            if src.shape != t.data.shape:
-                raise ValueError(f"parameter {name}: shape {src.shape} != {t.data.shape}")
-            t.data = np.asarray(src, dtype=t.data.dtype)
+            t.data = np.asarray(arrays[name], dtype=t.data.dtype)
 
 
 def param_shapes(kind, width):
@@ -132,19 +129,6 @@ def init_params(kind, width, rng_seed=0):
             p.add(name, rng.normal(0.0, INIT_STD, size=shape))
         else:
             p.add(name, np.ones(shape) if name.endswith(".gamma") else np.zeros(shape))
-    return p
-
-
-def params_from_arrays(kind, width, arrays):
-    """A network's parameters taken from name -> array, checked against param_shapes
-    by load_state_arrays.
-
-    Raises KeyError for a missing parameter and ValueError for a wrong shape.
-    """
-    p = ParamGroup()
-    for name, shape in param_shapes(kind, width).items():
-        p.add(name, np.empty(shape, np.float32))
-    p.load_state_arrays(arrays)
     return p
 
 

@@ -20,7 +20,6 @@ checkpoint therefore continues exactly the run that produced it.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import engine, forked
 from .checkpoint import meta_field, read_checkpoint, write_checkpoint
-from .data import augment, pad_and_crop, pad_margin, to_model_range, write_atomic
+from .data import augment, pad_and_crop, pad_margin, to_model_range, write_atomic, write_json
 from .engine import Tensor
 from .losses import (  # loss_cycle, loss_paired, total_generator_loss: traced by name
     LossBreakdown,
@@ -41,8 +40,8 @@ from .losses import (  # loss_cycle, loss_paired, total_generator_loss: traced b
     total_generator_loss,
     voxel_l1,
 )
-from .models import (GENERATOR_DIVISOR, disc_output_size, discriminator_forward,
-                     generator_forward, init_params)
+from .models import (GENERATOR_DIVISOR, ParamGroup, disc_output_size, discriminator_forward,
+                     generator_forward, init_params, param_shapes)
 from .optim import AdamState, adam_step, lr_at
 
 MODES = ("unpaired_cycle", "paired_baseline")
@@ -478,8 +477,8 @@ def _load_state(arrays, counts, crop, nets, opts, pools):
     moments of every parameter, and one with opt_t == 0 must hold none. A missing entry
     raises KeyError naming it; an entry whose shape is not that of the array it
     replaces, a moment of a network with opt_t == 0 or a pool beyond its capacity
-    raises ValueError. No value is checked: _resume refuses a non-finite one, and in
-    training the epoch-end check names it."""
+    raises ValueError. No value is checked: _load_checked (resume, infer) refuses a
+    non-finite one, and in training the epoch-end check names it."""
     def entry(key, shape):
         if arrays[key].shape != shape:
             raise ValueError(f"{key} has shape {arrays[key].shape}, not {shape}")
@@ -500,12 +499,55 @@ def _load_state(arrays, counts, crop, nets, opts, pools):
                          for i in range(counts["pool_sizes"][name])])
 
 
-def _pack_state(nets, opts, pools, epoch, cfg):
+def _load_checked(path, arrays, counts, crop, nets, opts, pools):
+    """_load_state of checkpoint `path`'s arrays and counts, then one pass that refuses
+    any non-finite entry loaded. Each refusal raises ValueError naming path and the
+    entry's key."""
+    try:
+        _load_state(arrays, counts, crop, nets, opts, pools)
+        for key, value in _state(nets, opts, pools)[0].items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"{key} has a non-finite value")
+    except KeyError as e:
+        raise ValueError(f"checkpoint {path} has no entry {e}") from e
+    except ValueError as e:
+        raise ValueError(f"checkpoint {path}: {e}") from e
+
+
+def read_generator(path, arrays, meta, name):
+    """Generator `name` of checkpoint `path`, whose read_checkpoint gave arrays and meta,
+    loaded as _resume loads a run (_load_checked): each entry must be there, finite and
+    of its shape at config.width_f. A checkpoint with no entry of that network at all
+    raises ValueError naming its mode."""
+    config = meta_field(path, meta, "config", dict)
+    width = meta_field(path, config, "config.width_f", int)
+    if not any(key.startswith(f"{name}/") for key in arrays):
+        raise ValueError(f"checkpoint {path} has no {name} network "
+                         f"(mode {config.get('mode')!r})")
+    group = ParamGroup()
+    for p, shape in param_shapes("generator", width).items():
+        # a shape to check against, which allocates nothing at any width
+        group.add(p, np.broadcast_to(np.float32(0), shape))
+    _load_checked(path, arrays, {}, None, {name: group}, {}, {})
+    return group
+
+
+def _end_epoch(path, epoch, cfg, nets, opts, pools):
+    """Check that every array of the run's state is finite once `epoch` epochs are done
+    (0: a fresh run's start), then, if path is given, write those same arrays to it as
+    that epoch's checkpoint. A finite loss can still leave inf in an Adam moment (g * g
+    overflows), which would silently freeze its parameter; the first non-finite array
+    raises NumericError. The arrays die on return: a rebound .data or a replaced pool
+    image is not held into the next epoch."""
     arrays, counts = _state(nets, opts, pools)
-    return arrays, {"format": "cyclesynth-train", "epoch": int(epoch),
-                    "config": cfg.to_dict(), **counts}
+    _check_finite(arrays.items())
+    if path is not None:
+        write_checkpoint(path, arrays, {"format": "cyclesynth-train", "epoch": epoch,
+                                        "config": cfg.to_dict(), **counts})
 
 
+LOG_NAME = "loss_log.csv"
+CKPT_NAME = "ckpt_epoch{}.csyn"  # .format(epochs done)
 LOG_HEADER = ["epoch", "iter", "lr", *(f.name for f in fields(LossBreakdown))]
 _LOG_EOL = csv.excel.lineterminator.encode()  # what csv.writer ends each row with
 
@@ -517,11 +559,12 @@ RESUME_OVERRIDES = ("fixed_epochs", "decay_epochs", "checkpoint_every")
 def _resume(path, cfg, crop, nets, opts, pools):
     """Load checkpoint `path`, which must hold a run with cfg's settings up to an epoch
     not past cfg's last, into nets, opts and pools; returns its epoch. Checked in turn:
-    the config, the types of the meta fields, each entry _load_state reads (its
-    presence, its shape, the moment rule, the pools' capacity), the finiteness of every
-    entry loaded, and the epoch. Each refusal raises ValueError naming the file and, for
-    an entry, its key. The parameters and moments become the checkpoint's own arrays,
-    and the rest of it is dropped on return."""
+    the config, the types of the meta fields, then through _load_checked, which infer's
+    read_generator shares, each entry _load_state reads (its presence, its shape, the
+    moment rule, the pools' capacity) and the finiteness of every entry loaded, and last
+    the epoch. Each refusal raises ValueError naming the file and, for an entry, its
+    key. The parameters and moments become the checkpoint's own arrays, and the rest of
+    it is dropped on return."""
     arrays, meta = read_checkpoint(path)
     saved = meta_field(path, meta, "config", dict)
     for key, value in cfg.to_dict().items():
@@ -532,15 +575,7 @@ def _resume(path, cfg, crop, nets, opts, pools):
     for field, names in (("opt_t", opts), ("pool_sizes", pools)):
         got = meta_field(path, meta, field, dict)
         counts[field] = {name: meta_field(path, got, f"{field}.{name}", int) for name in names}
-    try:
-        _load_state(arrays, counts, crop, nets, opts, pools)
-        for key, value in _state(nets, opts, pools)[0].items():
-            if not np.isfinite(value).all():
-                raise ValueError(f"{key} has a non-finite value")
-    except KeyError as e:
-        raise ValueError(f"checkpoint {path} has no entry {e}") from e
-    except ValueError as e:
-        raise ValueError(f"checkpoint {path}: {e}") from e
+    _load_checked(path, arrays, counts, crop, nets, opts, pools)
     epoch = meta_field(path, meta, "epoch", int)
     if epoch > cfg.total_epochs:
         raise ValueError(f"checkpoint {path}: epoch {epoch} is past the "
@@ -570,15 +605,18 @@ def _kept_log_rows(log_path, epoch):
     return kept
 
 
-def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None, manifest=None):
+def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None, provenance=None):
     """Train per config over SliceVolume lists. Every check (config, volumes and crop,
     the resume checkpoint and its log rows) runs before out_dir is created; then
-    manifest.json (if manifest is given), the log header and a fresh run's
-    ckpt_epoch0 are written, in that order. Returns a summary dict with the final
-    checkpoint and log paths."""
+    manifest.json, the log header and a fresh run's ckpt_epoch0 are written, in that
+    order. The manifest is written if provenance, the caller's record of the tool,
+    command and inputs, is given: this adds the run's own fields, its config,
+    cycle_processes, resume_from and output paths. Returns a summary dict with the
+    final checkpoint and log paths."""
     cfg.validate()
     crop = check_inputs(mr_vols, ct_vols, cfg)
     out_dir = Path(out_dir)
+    processes = cycle_processes(cfg)
 
     nets = make_networks(cfg)
     opts = make_optimizers(nets)
@@ -587,30 +625,33 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None, manifest=None
         pools = {"ct": ImagePool(cfg.image_pool_size),
                  "mr": ImagePool(cfg.image_pool_size)}
 
-    log_path = out_dir / "loss_log.csv"
+    log_path = out_dir / LOG_NAME
     start_epoch, kept = 0, []
     if resume_from is not None:
         start_epoch = _resume(resume_from, cfg, crop, nets, opts, pools)
         kept = _kept_log_rows(log_path, start_epoch)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if manifest is not None:
-        write_atomic(out_dir / "manifest.json",
-                     [json.dumps(manifest, indent=2, sort_keys=True).encode()])
+    if provenance is not None:
+        write_json(out_dir / "manifest.json", {
+            **provenance, "config": cfg.to_dict(), "cycle_processes": processes,
+            "resume_from": None if resume_from is None else str(resume_from),
+            "outputs": {"dir": str(out_dir), "log": str(log_path),
+                        "checkpoints": str(out_dir / CKPT_NAME.format("{N}"))}})
     # the header and kept rows reach the disk whole before any epoch runs
     write_atomic(log_path, [",".join(LOG_HEADER).encode() + _LOG_EOL, *kept])
     log_f = open(log_path, "a", newline="")
     log = csv.writer(log_f)
 
     if resume_from is None:
-        final_ckpt = out_dir / "ckpt_epoch0.csyn"
-        write_checkpoint(final_ckpt, *_pack_state(nets, opts, pools, 0, cfg))
+        final_ckpt = out_dir / CKPT_NAME.format(0)
+        _end_epoch(final_ckpt, 0, cfg, nets, opts, pools)
     else:
         final_ckpt = Path(resume_from)
 
     mr_index = _slice_index(mr_vols)
     ct_index = _slice_index(ct_vols)
     total = cfg.total_epochs
-    split = cycle_processes(cfg) == 2
+    split = processes == 2
     worker = None
 
     try:
@@ -648,15 +689,12 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None, manifest=None
                 log.writerow([epoch, it, f"{lr:.8g}", *(f"{v:.6g}" for v in astuple(b))])
             if worker is not None:
                 worker.sync(nets, opts, pools["mr"], crop)
-            # a finite loss can still leave inf in an Adam moment (g * g
-            # overflows), which silently freezes that parameter
-            _check_finite(_state(nets, opts, pools)[0].items())
             log_f.flush()
 
-            done = epoch + 1
+            done, path = epoch + 1, None
             if done % cfg.checkpoint_every == 0 or done == total:
-                final_ckpt = out_dir / f"ckpt_epoch{done}.csyn"
-                write_checkpoint(final_ckpt, *_pack_state(nets, opts, pools, done, cfg))
+                path = final_ckpt = out_dir / CKPT_NAME.format(done)
+            _end_epoch(path, done, cfg, nets, opts, pools)
     finally:
         log_f.close()
         if worker is not None:

@@ -682,6 +682,9 @@ def _run_quietly(argv):
                  "meta config.width_f must be an integer >= 0, got null", id="width_f-null"),
     pytest.param(("config", "width_f"), _REMOVE, "infer", "meta has no config.width_f",
                  id="width_f-removed"),
+    pytest.param(("config", "width_f"), 10**6, "infer",
+                 "g_mr2ct/stem.w has shape (4, 1, 7, 7), not (1000000, 1, 7, 7)",
+                 id="width_f-huge"),
     pytest.param(("epoch",), None, "resume", "meta epoch must be an integer >= 0, got null",
                  id="epoch-null"),
     pytest.param(("epoch",), _REMOVE, "resume", "meta has no epoch", id="epoch-removed"),
@@ -696,8 +699,9 @@ def _run_quietly(argv):
 ])
 def test_malformed_checkpoint_meta_exits_2_naming_the_file(workspace, tmp_path, path, value,
                                                             commands, fragment):
-    # each of these ended in a traceback (AttributeError, TypeError, KeyError), or in
-    # an exit 2 whose message named neither the file nor the field
+    # each of these ended in a traceback (AttributeError, TypeError, KeyError, and for a
+    # huge width numpy's MemoryError), or in an exit 2 whose message named neither the
+    # file nor the field
     bad = tmp_path / "bad.csyn"
     _with_meta(workspace / "run" / "ckpt_epoch1.csyn", bad, path, value)
     infer, resume = _meta_commands(workspace, bad, tmp_path)
@@ -799,8 +803,50 @@ def test_infer_checkpoint_of_another_width_names_the_file(workspace, tmp_path, c
     ckpt.write_bytes(raw.replace(b'"width_f":4', b'"width_f":5', 1))
     assert cli.main(["infer", "--ckpt", str(ckpt), "--in", str(workspace / "data" / "mr_000.svol"),
                      "--direction", "mr2ct", "--out", str(tmp_path / "x.svol")]) == 2
-    assert capsys.readouterr().err == (f"error: checkpoint {ckpt}: parameter stem.w: "
-                                       "shape (4, 1, 7, 7) != (5, 1, 7, 7)\n")
+    assert capsys.readouterr().err == (f"error: checkpoint {ckpt}: g_mr2ct/stem.w has "
+                                       "shape (4, 1, 7, 7), not (5, 1, 7, 7)\n")
+
+
+def _infer_argv(workspace, ckpt, out):
+    return ["infer", "--ckpt", ckpt, "--in", workspace / "data" / "mr_000.svol",
+            "--direction", "mr2ct", "--out", out]
+
+
+@pytest.mark.parametrize("key, damage", [("g_mr2ct/res3.c1.w", "nan"),
+                                         ("g_mr2ct/head.b", "removed")])
+def test_infer_refuses_a_damaged_generator_entry(workspace, tmp_path, key, damage):
+    # infer read its generator by its own reader, which checked no value: one NaN
+    # weight wrote a volume whose every voxel was level 0 and exited 0, and one
+    # removed entry of the 94 read "has no g_mr2ct network (mode 'unpaired_cycle')"
+    arrays, meta = read_checkpoint(workspace / "run" / "ckpt_epoch1.csyn")
+    tail = _damage_entry(arrays, key, damage)
+    bad = tmp_path / "bad.csyn"
+    write_checkpoint(bad, arrays, meta)
+    out = tmp_path / "x.svol"
+    assert _run_quietly(_infer_argv(workspace, bad, out)) == (2, f"error: checkpoint {bad}{tail}\n")
+    assert not out.exists()
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_any_damaged_generator_entry_refuses_infer_and_writes_no_output(workspace,
+                                                                        tmp_path_factory,
+                                                                        data):
+    """One g_mr2ct/ entry of a real checkpoint, removed, cut short in its last axis or
+    holding a NaN or an infinity, makes infer exit 2 with one error line naming the
+    checkpoint and the key, as train --resume does, and write no --out."""
+    arrays, meta = read_checkpoint(workspace / "run" / "ckpt_epoch1.csyn")
+    key = data.draw(st.sampled_from(sorted(k for k in arrays if k.startswith("g_mr2ct/"))),
+                    label="key")
+    damage = data.draw(st.sampled_from(["removed", "truncated", "nan", "inf", "-inf"]),
+                       label="damage")
+    tail = _damage_entry(arrays, key, damage)
+    tmp = tmp_path_factory.mktemp("generator")
+    bad = tmp / "bad.csyn"
+    write_checkpoint(bad, arrays, meta)
+    rc, err = _run_quietly(_infer_argv(workspace, bad, tmp / "x.svol"))
+    assert (rc, err) == (2, f"error: checkpoint {bad}{tail}\n")
+    assert key in err and not (tmp / "x.svol").exists()
 
 
 @pytest.mark.parametrize("case", ["out-is-a-directory", "out-in-missing-directory",
@@ -1187,6 +1233,88 @@ def test_eval_error_map_reads_each_volume_once(workspace, tmp_path, monkeypatch)
 def test_eval_directory_mismatch(workspace, tmp_path):
     assert cli.main(["eval", "--real", str(workspace / "data"),
                      "--synth", str(workspace / "data" / "ct_000.svol")]) == 2
+
+
+@pytest.mark.parametrize("real, synth, flag, says", [
+    ("data", "synth.svol", "--synth", ("is a directory", "is a file")),
+    ("data", "nowhere", "--synth", ("is a directory", "does not exist")),
+    ("data/ct_000.svol", "emptydir", "--synth", ("is a file", "is a directory")),
+    ("data", "synth.svol", "--synth-b", ("is a directory", "is a file")),
+    ("data", "nowhere", "--synth-b", ("is a directory", "does not exist")),
+], ids=["dir-file", "dir-missing", "file-dir", "b-dir-file", "b-dir-missing"])
+def test_eval_names_both_paths_when_they_are_not_two_files_or_two_directories(
+        workspace, tmp_path, capsys, real, synth, flag, says):
+    # each exited 2 with "real and synth must both be files or both be directories",
+    # naming neither path, also where the real cause was a path that does not exist
+    shutil.copytree(workspace / "data", tmp_path / "data")
+    shutil.copy(workspace / "data" / "ct_000.svol", tmp_path / "synth.svol")
+    (tmp_path / "emptydir").mkdir()
+    real, synth = tmp_path / real, tmp_path / synth
+    argv = ["eval", "--real", str(real), "--synth", str(synth)]
+    if flag == "--synth-b":
+        argv = ["eval", "--real", str(real), "--synth", str(real), flag, str(synth)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (f"error: --real {real} {says[0]} and {flag} {synth} "
+                                       f"{says[1]}; they must be two files or two "
+                                       "directories\n")
+
+
+# every path flag of infer, eval and train, with the kinds of path that are wrong for
+# it: f, an existing file in no format the flag reads; d, a directory; m, a path that
+# does not exist, for an output one in a directory that does not exist
+_PATH_FLAGS = {
+    "infer": {"--ckpt": "fdm", "--in": "fdm", "--out": "dm"},
+    "eval": {"--real": "fdm", "--synth": "fdm", "--synth-b": "fdm", "--report": "dm",
+             "--error-map": "dm"},
+    "eval-csv": {"--from-csv": "fdm", "--report": "dm"},
+    "train": {"--data": "fdm", "--out": "f", "--resume": "fdm"},
+}
+_OUTPUT_FLAGS = {"--out", "--report", "--error-map"}
+
+
+def _path_argv(workspace, tmp, command):
+    """A valid argv of command whose outputs go to tmp, as flag -> value pairs: train
+    resumes the workspace run at its last epoch, so it trains nothing."""
+    ckpt, data_dir = workspace / "run" / "ckpt_epoch1.csyn", workspace / "data"
+    ct = data_dir / "ct_000.svol"
+    if command == "infer":
+        return {"--ckpt": ckpt, "--in": data_dir / "mr_000.svol", "--direction": "mr2ct",
+                "--out": tmp / "x.svol"}
+    if command == "eval":
+        return {"--real": ct, "--synth": ct, "--synth-b": ct, "--mask-from": "compute",
+                "--report": tmp / "r.json", "--error-map": tmp / "e.svol"}
+    if command == "eval-csv":
+        (tmp / "rows.csv").write_text("id,mae,psnr\nv0,70.3,31.1\nv1,76.2,32.1\n")
+        return {"--from-csv": tmp / "rows.csv", "--report": tmp / "r.json"}
+    return {"--data": data_dir, "--out": tmp / "run", "--epochs-fixed": "1",
+            "--epochs-decay": "0", "--width-f": "4", "--width-d": "4", "--seed": "3",
+            "--resume": ckpt}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_wrong_path_on_any_path_flag_exits_2_naming_it(workspace, tmp_path_factory, data):
+    """An existing file in no format the flag reads, a directory or a missing path, on
+    any path flag of infer, eval or train for which it is wrong, makes the command exit
+    2 with one error line that contains that path, and write no output."""
+    command = data.draw(st.sampled_from(sorted(_PATH_FLAGS)), label="command")
+    flag = data.draw(st.sampled_from(sorted(_PATH_FLAGS[command])), label="flag")
+    kind = data.draw(st.sampled_from(_PATH_FLAGS[command][flag]), label="kind")
+    name = data.draw(st.text("abcxyz019-_ ", min_size=1, max_size=8), label="name")
+    tmp = tmp_path_factory.mktemp("paths")
+    argv = _path_argv(workspace, tmp, command)
+    bad = tmp / ("nodir" if kind == "m" and flag in _OUTPUT_FLAGS else "") / f"{name}.p"
+    if kind == "f":
+        bad.write_bytes(b"not in any format\n")
+    elif kind == "d":
+        bad.mkdir()
+    outputs = [argv[f] for f in _OUTPUT_FLAGS if f in argv and f != flag]
+    argv[flag] = bad
+    rc, err = _run_quietly([command.partition("-")[0],
+                            *(str(a) for item in argv.items() for a in item)])
+    assert rc == 2 and err.count("\n") == 1 and err.startswith("error: "), (rc, err)
+    assert str(bad) in err, err
+    assert not any(path.exists() for path in outputs)
 
 
 # -- selfcheck ------------------------------------------------------------

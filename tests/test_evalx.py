@@ -266,7 +266,7 @@ class TestReportRendering:
         import json
 
         rep = build_report(rows_from(MAE_UNPAIRED, PSNR_UNPAIRED))
-        payload = json.loads(rep.to_json())
+        payload = json.loads(json.dumps(rep.to_dict()))
         assert payload["metric_mode"] == "rmse_corrected"
         assert len(payload["rows"]) == 6
         assert payload["aggregate"]["mean_mae"] == pytest.approx(73.7, abs=1e-9)
