@@ -479,6 +479,9 @@ def main(argv=None):
     except (OSError, ValueError, KeyError, data.ContainerError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:  # an array the flags ask for that this host cannot hold
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

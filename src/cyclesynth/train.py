@@ -4,11 +4,15 @@ One unpaired iteration runs the forward cycle (MR -> CT -> MR) and the
 backward cycle (CT -> MR -> CT). Each backpropagates its adversarial term plus
 the weighted cycle term into both generators and updates its discriminator on
 real slices versus pool-sampled synthesized ones; both generators then take
-one Adam step on the sum of the two cycles' gradients. Every backward adds into
-.grad, and only _step, after the Adam step that uses it, clears it, so no
-network holds a gradient between steps. Under a BLAS thread cap with CPUs to
-spare, the backward cycle runs in a worker process (cycle_processes) that reads
-the one copy of the generators from shared memory, with byte-identical results.
+one Adam step on the sum of the two cycles' gradients. One paired iteration on
+a batch of 2 or more runs as two halves of its batch, each backpropagating its
+share of the generator and discriminator losses; a batch of 1 is one half.
+Every backward adds into .grad, and only _step, after the Adam step that uses
+it, clears it, so no network holds a gradient between steps. Under a BLAS
+thread cap with CPUs to spare, a step's second half (the backward cycle, the
+second half of a paired batch) runs in a worker process (cycle_processes)
+that reads the one copy of the networks it uses from shared memory, with
+byte-identical results.
 
 Determinism contract: every random choice of an epoch (slice order,
 crop offsets, pool sampling) is drawn from streams derived from
@@ -191,24 +195,20 @@ def _dis_update(nets, opts, name, real, fake, lr):
     return loss.item()
 
 
-def _generator_backward(nets, d_name, fake, l1, weight):
-    """Backward of adv + weight * l1, where adv scores `fake` on d_name, frozen: adds one
-    gradient into the .grad of each generator parameter upstream. Returns the float32
-    adv and total."""
+def _generator_backward(nets, d_name, fake, l1, weight, share):
+    """Backward of share * (adv + weight * l1), where adv scores `fake` on d_name, frozen:
+    adds one gradient into the .grad of each generator parameter upstream. Returns the
+    float32 adv and adv + weight * l1."""
     with nets[d_name].frozen():
         adv = loss_gen_adv(discriminator_forward(nets[d_name], fake))
         total = engine.add(adv, float(weight) * l1)
-        engine.backward(total)
+        engine.backward(share * total)
     return adv.item(), total.item()
 
 
 # the cycle each discriminator scores: the generator into its domain, then back
 _CYCLES = {"d_ct": ("g_mr2ct", "g_ct2mr"), "d_mr": ("g_ct2mr", "g_mr2ct")}
 _GENERATORS = ("g_mr2ct", "g_ct2mr")
-
-
-def _generator_tensors(nets):
-    return [t for name in _GENERATORS for t in nets[name].tensors()]
 
 
 def _cycle_half(d_name, source, real, nets, opts, pool, pool_rng, cfg, lr):
@@ -220,7 +220,7 @@ def _cycle_half(d_name, source, real, nets, opts, pool, pool_rng, cfg, lr):
     first, second = _CYCLES[d_name]
     fake = generator_forward(nets[first], source)
     l1 = cycle_l1(source, generator_forward(nets[second], fake))
-    adv, _ = _generator_backward(nets, d_name, fake, l1, cfg.lam)
+    adv, _ = _generator_backward(nets, d_name, fake, l1, cfg.lam, 1.0)
     fake_d = pool.query(fake.data, pool_rng) if cfg.use_pool else fake.data
     return adv, l1.item(), _dis_update(nets, opts, d_name, real.data, fake_d, lr)
 
@@ -233,20 +233,20 @@ def train_step_unpaired(i_mr, i_ct, nets, opts, pool_ct, pool_mr, cfg, lr,
     takes one gradient from each, so the two halves' sum in .grad has the joint
     backward's bits. This process runs the forward cycle MR -> CT -> MR and updates
     d_ct. The backward cycle CT -> MR -> CT and d_mr's update run after it here, its
-    backward adding into the first half's .grad, or, with a worker (a _CycleWorker), at
+    backward adding into the first half's .grad, or, with a worker (a _StepWorker), at
     the same time in the worker, which then holds d_mr, pool_mr and its stream;
     pool_mr and pool_rng_mr go unused. Either way this process takes the one Adam step
     of each generator, after the backward cycle is done.
     """
     if worker is not None:
-        worker.start(i_mr, i_ct, lr)
+        worker.start(i_mr.data, i_ct.data, lr)
     g_ct, l1_mr, d_ct_v = _cycle_half("d_ct", i_mr, i_ct, nets, opts, pool_ct,
                                       pool_rng_ct, cfg, lr)
     if worker is None:
         g_mr, l1_ct, d_mr_v = _cycle_half("d_mr", i_ct, i_mr, nets, opts, pool_mr,
                                           pool_rng_mr, cfg, lr)
     else:
-        g_mr, l1_ct, d_mr_v = worker.exchange(nets)
+        g_mr, l1_ct, d_mr_v = worker.exchange()
     c = engine.add(Tensor(l1_mr), Tensor(l1_ct)).item()
     _check_finite((("g_adv_ct", g_ct), ("g_adv_mr", g_mr), ("cycle", c),
                    ("d_ct", d_ct_v), ("d_mr", d_mr_v)))
@@ -255,116 +255,160 @@ def train_step_unpaired(i_mr, i_ct, nets, opts, pool_ct, pool_mr, cfg, lr,
                          total_g=g_ct + g_mr + cfg.lam * c, total_d=d_ct_v + d_mr_v)
 
 
-def train_step_paired(i_mr, i_ct_aligned, nets, opts, cfg, lr):
-    """Paired-baseline iteration: the generator backward of adv + mu * voxel L1 and
-    g_mr2ct's Adam step, then one d_ct update on the fresh fake; then its losses are
-    checked. The cycle column carries the unweighted voxel L1, so the log keeps one
-    schema; the MR-side fields are unused (zero)."""
-    fake_ct = generator_forward(nets["g_mr2ct"], i_mr)
-    l1 = voxel_l1(fake_ct, i_ct_aligned)
-    adv, total = _generator_backward(nets, "d_ct", fake_ct, l1, cfg.mu)
-    _step(nets, opts, ("g_mr2ct",), lr)
-    d_v = _dis_update(nets, opts, "d_ct", i_ct_aligned.data, fake_ct.data, lr)
+def _paired_half(i_mr, i_ct, share, nets, cfg):
+    """A paired step's work on some of its samples (arrays), a `share` of its batch: the
+    generator backward of share * (adv + mu * voxel L1), d_ct frozen, then the backward
+    of share * loss_dis on d_ct, real i_ct against the detached fake. It adds one
+    gradient into each parameter's .grad of g_mr2ct and d_ct and steps neither, so d_ct
+    scores with the weights the generator backward saw. Returns the adv, voxel L1, adv
+    + mu * L1 and d_ct losses, float32 each, times share."""
+    fake = generator_forward(nets["g_mr2ct"], Tensor(i_mr))
+    l1 = voxel_l1(fake, Tensor(i_ct))
+    adv, total = _generator_backward(nets, "d_ct", fake, l1, cfg.mu, share)
+    d = _dis_loss(nets["d_ct"], i_ct, fake.data)
+    engine.backward(share * d)
+    return tuple(share * v for v in (adv, l1.item(), total, d.item()))
+
+
+def train_step_paired(i_mr, i_ct_aligned, nets, opts, cfg, lr, worker):
+    """Paired-baseline iteration on a batch of N, in two halves: its first N // 2 samples
+    and the rest (_paired_half), or, when N is 1, one half of the whole batch. Every loss
+    is a mean over samples or over equal score maps, so the batch's objective is the sum
+    over the halves of each half's objective times its share n/N of the batch, and so
+    are its gradients and logged losses. The second half runs after the first here, its
+    backwards adding into the first half's .grad, or, with a worker (a _StepWorker), at
+    the same time in the worker. Then the losses are checked, and g_mr2ct and d_ct take
+    one Adam step each on the halves' sum. The cycle column carries the batch's voxel L1,
+    without mu, so the log keeps one schema; the MR-side fields are unused (zero)."""
+    n = len(i_mr.data)
+    cut = n // 2 or n
+    second = (i_mr.data[cut:], i_ct_aligned.data[cut:], (n - cut) / n)
+    if worker is not None and cut < n:
+        worker.start(*second)
+    losses = _paired_half(i_mr.data[:cut], i_ct_aligned.data[:cut], cut / n, nets, cfg)
+    if cut < n:
+        more = worker.exchange() if worker is not None else _paired_half(*second, nets, cfg)
+        losses = [a + b for a, b in zip(losses, more)]
+    adv, l1, total, d_v = losses
     _check_finite((("g_adv_ct", adv), ("paired", total), ("d_ct", d_v)))
-    return LossBreakdown(d_ct=d_v, d_mr=0.0, g_adv_ct=adv, g_adv_mr=0.0, cycle=l1.item(),
+    _step(nets, opts, ("g_mr2ct", "d_ct"), lr)
+    return LossBreakdown(d_ct=d_v, d_mr=0.0, g_adv_ct=adv, g_adv_mr=0.0, cycle=l1,
                          total_g=total, total_d=d_v)
 
 
-# -- the backward cycle in a worker process --------------------------------
+# -- the second half of a step in a worker process -------------------------
 
 
 def cycle_processes(cfg):
-    """Processes an unpaired step runs in: forked.processes(), with the backward cycle
-    in a worker when that is 2. Paired mode has one cycle and runs in 1."""
-    return forked.processes() if cfg.mode == "unpaired_cycle" else 1
+    """Processes each step of a run with cfg runs in: forked.processes(), with the second
+    half of the step (an unpaired step's backward cycle, the second half of a paired
+    batch) in a _StepWorker when that is 2. A paired batch of 1 is never split, so a
+    paired run at batch_size 1 runs in 1."""
+    if cfg.mode == "paired_baseline" and cfg.batch_size == 1:
+        return 1
+    return forked.processes()
 
 
-class _CycleWorker:
-    """The backward cycle of every unpaired step, run in a forked.Worker.
+class _StepWorker:
+    """The second half of every step of a run, run in a forked.Worker named `role`:
+    half(*args, epoch_arg) of each start(*args) and the last begin_epoch(epoch_arg). It
+    adds into the .grad of the `shared` networks (ParamGroups) and returns its losses.
+    `owned` is the state only the worker updates, as the nets, opts and pools of
+    _state.
 
     The fork gives the child this process's networks, Adam state and pools as they are
-    at the first step. The generators exist once: before the fork each generator
-    tensor's .data moves into a shared arena (forked.shared_zeros) that also holds one
+    at the first step. The shared networks exist once: before the fork each of their
+    tensors' .data moves into a shared arena (forked.shared_zeros) that also holds one
     gradient slot per tensor, and Adam updates the views in place. Nothing may rebind a
-    generator's .data while the worker lives: checkpoints load before it starts, and
-    sync loads only the worker's share. After close the views keep the arena alive as
-    long as the networks. The child owns d_mr, its Adam state, pool_mr and its stream,
-    and at each epoch's end replies to "state" with that share in the checkpoint's
-    layout (_state), which sync reads as resume does (_load_state). The rest goes
+    shared .data while the worker lives: checkpoints load before it starts, and sync
+    loads only what the worker owns. After close the views keep the arena alive as long
+    as the networks. At each epoch's end the child replies to "state" with `owned` in
+    the checkpoint's layout, which sync reads as resume does (_load_state). The rest goes
     through the pipe, whose messages order every access to the arena, with no lock:
-    - the child reads the generators only between receiving "step" and sending "done";
-      before it sends "done" it copies its generators' .grad into the slot and drops
-      them, so its next half starts from none;
-    - this process writes the generators only between receiving "done" and sending the
-      next "step" or "state": it adds the slot into its generators' .grad and takes the
-      one Adam step of each generator.
+    - the child reads the shared networks only between receiving "step" and sending
+      "done"; before it sends "done" it copies their .grad into the slot and drops them,
+      so its next half starts from none;
+    - this process writes the shared networks only between receiving "done" and sending
+      the next "step" or "state": it adds the slot into their .grad and takes their Adam
+      steps.
     """
 
-    def __init__(self, nets, opts, pool, cfg):
-        tensors = _generator_tensors(nets)
-        size = sum(t.data.size for t in tensors)
+    def __init__(self, role, half, shared, owned):
+        self._tensors = [t for net in shared for t in net.tensors()]
+        size = sum(t.data.size for t in self._tensors)
         arena = forked.shared_zeros((2 * size,), np.float32)
         self._slot, k = [], 0
-        for t in tensors:
+        for t in self._tensors:
             view = arena[k:k + t.data.size].reshape(t.data.shape)
             view[...] = t.data
             t.data = view
             self._slot.append(arena[size + k:size + k + t.data.size].reshape(t.data.shape))
             k += t.data.size
-        self._worker = forked.Worker("backward-cycle", _worker_main, nets, opts, pool, cfg,
-                                     self._slot)
+        self._owned = owned
+        self._worker = forked.Worker(role, _worker_main, half, self._tensors, self._slot,
+                                     owned)
 
-    def begin_epoch(self, pool_rng):
-        self._worker.send(("epoch", pool_rng))
+    def begin_epoch(self, epoch_arg):
+        self._worker.send(("epoch", epoch_arg))
 
-    def start(self, i_mr, i_ct, lr):
-        self._worker.send(("step", i_mr.data, i_ct.data, lr))
+    def start(self, *args):
+        self._worker.send(("step", *args))
 
-    def exchange(self, nets):
-        """Wait for the backward cycle and add its gradients into the generators' .grad,
-        which hold the forward cycle's; returns its adv, L1 and d_mr losses. From here to
-        the next start or sync, the worker does not read the generators, so this process
-        may step them."""
+    def exchange(self):
+        """Wait for the second half and add its gradients into the shared networks'
+        .grad, which hold the first half's; returns its losses. From here to the next
+        start or sync, the worker does not read the shared networks, so this process may
+        step them."""
         losses = self._worker.recv()
-        for t, shared in zip(_generator_tensors(nets), self._slot):
+        for t, shared in zip(self._tensors, self._slot):
             t.grad += shared
         return losses
 
-    def sync(self, nets, opts, pool, crop):
-        """Load the worker's share of the run's state (_worker_share), which only it
-        updates, into nets, opts and pool through _load_state. The generators are
-        already this process's."""
+    def sync(self, crop):
+        """Load the state the worker owns into this process's copy of it through
+        _load_state. The shared networks are already this process's."""
         self._worker.send(("state",))
-        _load_state(*self._worker.recv(), crop, *_worker_share(nets, opts, pool))
+        _load_state(*self._worker.recv(), crop, *self._owned)
 
     def close(self):
-        """End the worker (closing the pipe ends its loop). The generators stay in the
-        arena, which is freed with the last view of it."""
+        """End the worker (closing the pipe ends its loop). The shared networks stay in
+        the arena, which is freed with the last view of it."""
         self._worker.close()
         self._slot = None
 
 
-def _worker_share(nets, opts, pool):
-    """The state only the worker updates, d_mr, its Adam state and pool_mr, as the nets,
-    opts and pools of _state and _load_state."""
-    return {"d_mr": nets["d_mr"]}, {"d_mr": opts["d_mr"]}, {"mr": pool}
+def _step_worker(cfg, nets, opts, pools):
+    """The _StepWorker of cfg's mode. An unpaired step's second half is its backward
+    cycle, and the worker owns d_mr, its Adam state, pool_mr and pool_mr's stream, which
+    begin_epoch gives it; a paired step's is the second half of its batch, whose worker
+    owns nothing, since this process steps both networks."""
+    if cfg.mode == "unpaired_cycle":
+        return _StepWorker(
+            "backward-cycle",
+            lambda i_mr, i_ct, lr, pool_rng: _cycle_half(
+                "d_mr", Tensor(i_ct), Tensor(i_mr), nets, opts, pools["mr"], pool_rng, cfg,
+                lr),
+            [nets[name] for name in _GENERATORS],
+            ({"d_mr": nets["d_mr"]}, {"d_mr": opts["d_mr"]}, {"mr": pools["mr"]}))
+    return _StepWorker(
+        "paired-half",
+        lambda i_mr, i_ct, share, _: _paired_half(i_mr, i_ct, share, nets, cfg),
+        [nets["g_mr2ct"], nets["d_ct"]], ({}, {}, {}))
 
 
-def _worker_main(conn, nets, opts, pool, cfg, slot):
-    """The worker's loop: one backward cycle per step message until the pipe closes."""
-    pool_rng = None
+def _worker_main(conn, half, tensors, slot, owned):
+    """The worker's loop: one half step per step message until the pipe closes."""
+    epoch_arg = None
     with np.errstate(all="ignore"):
         while True:
             msg = conn.recv()
             if msg[0] == "epoch":
-                pool_rng = msg[1]
+                epoch_arg = msg[1]
             elif msg[0] == "state":
-                conn.send(("state", *_state(*_worker_share(nets, opts, pool))))
+                conn.send(("state", *_state(*owned)))
             else:
-                _, i_mr, i_ct, lr = msg
-                losses = _cycle_half("d_mr", Tensor(i_ct), Tensor(i_mr), nets, opts,
-                                     pool, pool_rng, cfg, lr)
-                for shared, t in zip(slot, _generator_tensors(nets)):
+                losses = half(*msg[1:], epoch_arg)
+                for shared, t in zip(slot, tensors):
                     shared[...] = t.grad
                     t.grad = None  # handed off: the only clear outside _step
                 conn.send(("done", *losses))
@@ -651,7 +695,6 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None, provenance=No
     mr_index = _slice_index(mr_vols)
     ct_index = _slice_index(ct_vols)
     total = cfg.total_epochs
-    split = processes == 2
     worker = None
 
     try:
@@ -659,6 +702,8 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None, provenance=No
             lr = lr_at(epoch, cfg.base_lr, cfg.fixed_epochs, cfg.decay_epochs)
             rng = {name: np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch, k]))
                    for k, name in enumerate(_EPOCH_STREAMS, 1)}
+            if processes == 2:
+                worker = worker or _step_worker(cfg, nets, opts, pools)
 
             if cfg.mode == "unpaired_cycle":
                 length = max(len(mr_index), len(ct_index))
@@ -666,8 +711,7 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None, provenance=No
                 ct_seq = _epoch_order(ct_index, length, rng["order_ct"])
                 if len(mr_vols) > 1 and len(ct_vols) > 1:
                     ct_seq = _fix_same_volume_pairs(mr_seq, ct_seq)
-                if split:
-                    worker = worker or _CycleWorker(nets, opts, pools["mr"], cfg)
+                if worker is not None:
                     worker.begin_epoch(rng["pool_mr"])
             else:
                 length = len(mr_index)
@@ -685,10 +729,10 @@ def run_training(mr_vols, ct_vols, cfg, out_dir, resume_from=None, provenance=No
                 else:
                     i_mr, i_ct = _paired_batch(mr_vols, ct_vols, mr_seq[part],
                                                crop, rng["augment"])
-                    b = train_step_paired(i_mr, i_ct, nets, opts, cfg, lr)
+                    b = train_step_paired(i_mr, i_ct, nets, opts, cfg, lr, worker)
                 log.writerow([epoch, it, f"{lr:.8g}", *(f"{v:.6g}" for v in astuple(b))])
             if worker is not None:
-                worker.sync(nets, opts, pools["mr"], crop)
+                worker.sync(crop)
             log_f.flush()
 
             done, path = epoch + 1, None

@@ -1487,6 +1487,24 @@ def test_phantom_train_infer_never_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_a_network_that_cannot_be_allocated_exits_2_with_one_line(workspace, tmp_path,
+                                                                  monkeypatch, capsys):
+    # `train --width-f 1000000000` ended in a MemoryError traceback with exit 1; the
+    # allocation failure is stood in for here, so the test allocates nothing large
+    from cyclesynth import train
+
+    def no_room(kind, width, seed):
+        raise MemoryError(f"Unable to allocate a {kind} of width {width}")
+
+    monkeypatch.setattr(train, "init_params", no_room)
+    rc = cli.main(["train", "--data", str(workspace / "data"), "--out", str(tmp_path / "run"),
+                   "--epochs-fixed", "0", "--epochs-decay", "0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: out of memory: Unable to allocate a generator of width 64\n"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("case", ["train-overflow", "one-volume-eval",
                                   "train-overflow-two-processes"])
 def test_a_failing_command_prints_one_line(workspace, tmp_path, case):

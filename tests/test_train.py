@@ -257,7 +257,8 @@ def test_step_peak_memory_is_bounded(mode, batch):
     """One width-8, 32x32 step allocates at its peak well under what a tape that keeps
     conv columns, spent closures and intermediate gradients until its end needs
     (19.1 and 17.1 MiB unpaired and paired at batch 4); a consumed tape that keeps
-    each activation once peaks at 4.4 and 3.6 MiB."""
+    each activation once peaks at 4.4 and 3.6 MiB, and the paired step, which holds
+    one half of its batch's tape at a time, at 2.7 MiB."""
     cfg = tiny_config(mode=mode, width_f=8, width_d=8, batch_size=batch, image_pool_size=50)
     nets = train.make_networks(cfg)
     opts = train.make_optimizers(nets)
@@ -268,7 +269,7 @@ def test_step_peak_memory_is_bounded(mode, batch):
     try:
         before = tracemalloc.get_traced_memory()[0]
         if mode == "paired_baseline":
-            train.train_step_paired(i_mr, i_ct, nets, opts, cfg, 1e-3)
+            train.train_step_paired(i_mr, i_ct, nets, opts, cfg, 1e-3, None)
         else:
             run_one_step(cfg, 1e-3, nets, opts, i_mr, i_ct)
         peak_mb = (tracemalloc.get_traced_memory()[1] - before) / 2**20
@@ -285,7 +286,8 @@ def test_desk_step_peak_memory_is_bounded(mode, batch, bound_mib):
     pools included: 37.1 and 33.3 MiB when each activation is held once on the tape,
     45.1 and 49.7 MiB when conv2d keeps its padded input and instance_norm its
     centred input. The unpaired step holds one cycle's tape at a time (40.7 and
-    57.3 MiB when it backpropagated both cycles at once)."""
+    57.3 MiB when it backpropagated both cycles at once), and the paired step one half
+    of its batch's (25.3 MiB; 33.3 MiB when it backpropagated the whole batch)."""
     cfg = tiny_config(mode=mode, width_f=16, width_d=16, batch_size=batch, image_pool_size=50)
     rng = np.random.default_rng(0)
     pools = train.ImagePool(cfg.image_pool_size), train.ImagePool(cfg.image_pool_size)
@@ -299,7 +301,7 @@ def test_desk_step_peak_memory_is_bounded(mode, batch, bound_mib):
                           for _ in range(2))
             tracemalloc.reset_peak()
             if mode == "paired_baseline":
-                train.train_step_paired(i_mr, i_ct, nets, opts, cfg, 1e-3)
+                train.train_step_paired(i_mr, i_ct, nets, opts, cfg, 1e-3, None)
             else:
                 train.train_step_unpaired(i_mr, i_ct, nets, opts, *pools, cfg, 1e-3, *rngs,
                                           None)
@@ -311,22 +313,34 @@ def test_desk_step_peak_memory_is_bounded(mode, batch, bound_mib):
 
 @pytest.mark.parametrize("mode", ["unpaired_cycle", "paired_baseline"])
 def test_generator_backward_leaves_discriminators_without_grad(mode, monkeypatch):
+    """Checked right after each generator backward, and in unpaired mode also at each
+    generator Adam step. A paired step runs d_ct's backward before the Adam steps, so
+    d_ct holds its own gradient there."""
     cfg = tiny_config(mode=mode)
     nets, opts, i_mr, i_ct = step_fixture(cfg)
-    seen = []
-    adam = train.adam_step
+    seen, at_adam = [], []
+    adam, backward = train.adam_step, train._generator_backward
+
+    def dis_grads():
+        return [t.grad for n, g in nets.items() if n.startswith("d_") for t in g.tensors()]
 
     def checked_adam(group, state, lr):
         if group in (nets["g_mr2ct"], nets.get("g_ct2mr")):
-            seen.append([t.grad for n, g in nets.items() if n.startswith("d_")
-                         for t in g.tensors()])
+            at_adam.append(dis_grads())
         adam(group, state, lr)
 
+    def checked_backward(*args):
+        out = backward(*args)
+        seen.append(dis_grads())
+        return out
+
     monkeypatch.setattr(train, "adam_step", checked_adam)
+    monkeypatch.setattr(train, "_generator_backward", checked_backward)
     if mode == "paired_baseline":
-        train.train_step_paired(i_mr, i_ct, nets, opts, cfg, 1e-3)
+        train.train_step_paired(i_mr, i_ct, nets, opts, cfg, 1e-3, None)
     else:
         run_one_step(cfg, 1e-3, nets, opts, i_mr, i_ct)
+        assert at_adam and all(g is None for grads in at_adam for g in grads)
     assert seen and all(g is None for grads in seen for g in grads)
     assert all(t.requires_grad for g in nets.values() for t in g.tensors())
     assert all(opts[n].t == 1 for n in nets)
@@ -339,7 +353,7 @@ def test_no_network_holds_a_gradient_between_steps(mode):
     nets, opts, i_mr, i_ct = step_fixture(cfg)
     for _ in range(2):
         if mode == "paired_baseline":
-            train.train_step_paired(i_mr, i_ct, nets, opts, cfg, 1e-3)
+            train.train_step_paired(i_mr, i_ct, nets, opts, cfg, 1e-3, None)
         else:
             run_one_step(cfg, 1e-3, nets, opts, i_mr, i_ct)
         assert all(t.grad is None for g in nets.values() for t in g.tensors())
@@ -353,7 +367,7 @@ def test_paired_step_mu_zero_is_pure_adversarial():
     rng = np.random.default_rng(0)
     i_mr = Tensor(rng.uniform(-1, 1, (1, 1, 24, 24)).astype(np.float32))
     i_ct = Tensor(rng.uniform(-1, 1, (1, 1, 24, 24)).astype(np.float32))
-    b = train.train_step_paired(i_mr, i_ct, nets, opts, cfg, 0.0)
+    b = train.train_step_paired(i_mr, i_ct, nets, opts, cfg, 0.0, None)
     assert b.total_g == pytest.approx(b.g_adv_ct, rel=1e-6)
     assert b.d_mr == 0.0 and b.g_adv_mr == 0.0
 
@@ -371,7 +385,7 @@ def test_paired_step_logs_the_exact_voxel_l1(mu):
     with engine.no_grad():
         fake = generator_forward(nets["g_mr2ct"], i_mr).data
     want = float(np.mean(np.abs(fake.astype(np.float64) - i_ct.data)))
-    b = train.train_step_paired(i_mr, i_ct, nets, opts, cfg, 1e-3)
+    b = train.train_step_paired(i_mr, i_ct, nets, opts, cfg, 1e-3, None)
     assert b.cycle == pytest.approx(want, rel=1e-6)
 
 
@@ -383,33 +397,84 @@ def test_numeric_error_names_first_bad_loss():
         run_one_step(cfg, 1e-3, nets, opts, i_mr, i_ct)
 
 
-def test_paired_step_gradient_is_the_loss_paired_gradient(monkeypatch):
-    """The gradient g_mr2ct's Adam step takes is, bit for bit, the gradient of
-    losses.loss_paired on the same forward: the objective the benchmark checks."""
-    cfg = tiny_config(mode="paired_baseline")
-    rng = np.random.default_rng(3)
-    i_mr, i_ct = (Tensor(rng.uniform(-1, 1, (2, 1, 24, 24)).astype(np.float32))
-                  for _ in range(2))
-    ref = train.make_networks(cfg)
-    fake = generator_forward(ref["g_mr2ct"], i_mr)
-    with ref["d_ct"].frozen():
-        score = discriminator_forward(ref["d_ct"], fake)
-        engine.backward(losses.loss_paired(fake, i_ct, score, mu=cfg.mu))
-    want = {n: t.grad for n, t in ref["g_mr2ct"].items()}
+def paired_reference(cfg, i_mr, i_ct, parts):
+    """g_mr2ct's and d_ct's gradients, on fresh networks, of losses.loss_paired with
+    d_ct frozen and of loss_dis on one pass over real and detached fake, for each range
+    of samples in parts in turn, each weighted by its share of the batch (a whole batch
+    unweighted). Each backward adds into the gradients the ranges before it left."""
+    ref, n = train.make_networks(cfg), len(i_mr.data)
 
+    def weighted(loss, rows):
+        share = (rows.stop - rows.start) / n
+        return loss if share == 1 else share * loss
+
+    for rows in parts:
+        mr, ct = Tensor(i_mr.data[rows]), Tensor(i_ct.data[rows])
+        fake = generator_forward(ref["g_mr2ct"], mr)
+        with ref["d_ct"].frozen():
+            score = discriminator_forward(ref["d_ct"], fake)
+            engine.backward(weighted(losses.loss_paired(fake, ct, score, mu=cfg.mu), rows))
+        score = discriminator_forward(ref["d_ct"], Tensor(np.concatenate([ct.data, fake.data])))
+        engine.backward(weighted(loss_dis(*engine.split_batch(score, len(ct.data))), rows))
+    return {name: {p: t.grad for p, t in ref[name].items()} for name in ("g_mr2ct", "d_ct")}
+
+
+def paired_step_gradients(cfg, i_mr, i_ct, monkeypatch):
+    """The gradients g_mr2ct's and d_ct's Adam steps take in one paired step."""
     nets, seen = train.make_networks(cfg), {}
     adam = train.adam_step
 
     def capturing_adam(group, state, lr):
-        if group is nets["g_mr2ct"]:
-            seen.update((n, t.grad.copy()) for n, t in group.items())
+        for name in ("g_mr2ct", "d_ct"):
+            if group is nets[name]:
+                seen[name] = {p: t.grad.copy() for p, t in group.items()}
         adam(group, state, lr)
 
     monkeypatch.setattr(train, "adam_step", capturing_adam)
-    train.train_step_paired(i_mr, i_ct, nets, train.make_optimizers(nets), cfg, 1e-3)
+    train.train_step_paired(i_mr, i_ct, nets, train.make_optimizers(nets), cfg, 1e-3, None)
+    return seen
+
+
+def paired_inputs(batch):
+    rng = np.random.default_rng(3)
+    return (Tensor(rng.uniform(-1, 1, (batch, 1, 24, 24)).astype(np.float32))
+            for _ in range(2))
+
+
+def test_paired_step_gradient_is_the_loss_paired_gradient(monkeypatch):
+    """A batch of 1 is not split: the gradient g_mr2ct's Adam step takes is, bit for
+    bit, the gradient of losses.loss_paired on the same forward, the objective the
+    benchmark checks, and d_ct's that of its loss_dis."""
+    cfg = tiny_config(mode="paired_baseline")
+    i_mr, i_ct = paired_inputs(1)
+    want = paired_reference(cfg, i_mr, i_ct, [slice(0, 1)])
+    seen = paired_step_gradients(cfg, i_mr, i_ct, monkeypatch)
     assert list(seen) == list(want)
-    for n, g in want.items():
-        assert seen[n].tobytes() == g.tobytes(), n
+    for name, grads in want.items():
+        assert list(seen[name]) == list(grads)
+        for p, g in grads.items():
+            assert seen[name][p].tobytes() == g.tobytes(), (name, p)
+
+
+@pytest.mark.parametrize("batch", [2, 4])
+def test_paired_step_gradient_sums_the_share_weighted_halves(monkeypatch, batch):
+    """A batch of 2 or more runs as its first batch // 2 samples and the rest: the
+    gradients the Adam steps take are, bit for bit, the sum of the two halves'
+    loss_paired and loss_dis gradients, each weighted by its share of the batch, and
+    the joint gradient of the whole batch up to float32 rounding."""
+    cfg = tiny_config(mode="paired_baseline", batch_size=batch)
+    i_mr, i_ct = paired_inputs(batch)
+    cut = batch // 2
+    halves = paired_reference(cfg, i_mr, i_ct, [slice(0, cut), slice(cut, batch)])
+    joint = paired_reference(cfg, i_mr, i_ct, [slice(0, batch)])
+    seen = paired_step_gradients(cfg, i_mr, i_ct, monkeypatch)
+    for name, grads in halves.items():
+        # conv biases ahead of a norm have a true gradient of 0, so atol is network-wide
+        scale = max(np.abs(g).max() for g in joint[name].values())
+        for p, g in grads.items():
+            assert seen[name][p].tobytes() == g.tobytes(), (name, p)
+            np.testing.assert_allclose(g, joint[name][p], rtol=1e-4, atol=1e-5 * scale,
+                                       err_msg=f"{name}/{p}")
 
 
 @pytest.mark.parametrize("case, name", [("nan-stem", "g_adv_ct"), ("mu-1e39", "paired"),
@@ -426,7 +491,7 @@ def test_paired_numeric_error_names_the_first_bad_loss(monkeypatch, case, name):
             real(*scores), Tensor(np.array(np.inf, np.float32))))
     with np.errstate(all="ignore"), pytest.raises(
             train.NumericError, match=rf"^non-finite value in {name}$"):
-        train.train_step_paired(i_mr, i_ct, nets, opts, cfg, 1e-3)
+        train.train_step_paired(i_mr, i_ct, nets, opts, cfg, 1e-3, None)
 
 
 # -- epoch plumbing -------------------------------------------------------
